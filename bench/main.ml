@@ -193,16 +193,20 @@ let repr_explicit =
      B.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq:1 ~stragglers:[||]
        ~agg_sig:(Some agg))
 
+(* A batch stores its roots, so each iteration first rebuilds it: both
+   sides then pay for the root computation a receiving server performs
+   (two Merkle trees for Explicit, two digests for Dense). *)
 let bench_verify_dense =
   Test.make ~name:"ablation-repr: verify Dense batch (4096, prefix sums)"
     (Staged.stage (fun () ->
-         assert (Repro_chopchop.Batch.verify (Lazy.force repr_dir) (Lazy.force repr_dense))))
+         let b = Repro_chopchop.Batch.rebuild (Lazy.force repr_dense) in
+         assert (Repro_chopchop.Batch.verify (Lazy.force repr_dir) b)))
 
 let bench_verify_explicit =
   Test.make ~name:"ablation-repr: verify Explicit batch (4096)"
     (Staged.stage (fun () ->
-         assert
-           (Repro_chopchop.Batch.verify (Lazy.force repr_dir) (Lazy.force repr_explicit))))
+         let b = Repro_chopchop.Batch.rebuild (Lazy.force repr_explicit) in
+         assert (Repro_chopchop.Batch.verify (Lazy.force repr_dir) b)))
 
 (* Substrate primitives, for the record. *)
 let bench_sha256 =
@@ -287,6 +291,11 @@ let run_trace_smoke () =
 let run_bench_json () =
   let module B = Repro_metrics.Baseline in
   let module Cell = Repro_experiments.Cell in
+  (* Informational (ungated) metrics still carry the direction in which
+     they improve, so gating one later cannot invert it. *)
+  let info ?(direction = B.Lower_better) value =
+    { B.value; tolerance = None; direction }
+  in
   (* Store on: WAL appends are fire-and-forget on a separate simulated
      device, so the protocol metrics are unchanged and the run also
      yields the gated WAL-overhead ratio.  [Cell.default] is exactly the
@@ -310,7 +319,6 @@ let run_bench_json () =
     let gated tol direction m =
       { B.value = metric m; tolerance = Some tol; direction }
     in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
     (* Simulator-efficiency metrics.  events_per_delivery is deterministic
        (engine events per delivered message) and gated: event-count bloat
        is a real scheduling regression.  minor_words_per_event is also
@@ -345,8 +353,10 @@ let run_bench_json () =
         (* Sim-speed self-benchmark: how fast the simulator itself runs on
            this machine.  Machine-dependent, hence ungated. *)
         ( "sim_events_per_wall_s",
-          info (float_of_int out.Cell.sim_events /. Float.max wall 1e-9) );
-        ("sim_s_per_wall_s", info (out.Cell.sim_seconds /. Float.max wall 1e-9))
+          info ~direction:B.Higher_better
+            (float_of_int out.Cell.sim_events /. Float.max wall 1e-9) );
+        ( "sim_s_per_wall_s",
+          info ~direction:B.Higher_better (out.Cell.sim_seconds /. Float.max wall 1e-9) )
       ] )
   in
   (* Reconfiguration under load (quick scale): gates the dynamic-membership
@@ -361,12 +371,11 @@ let run_bench_json () =
     let r = R.metrics ~scale:Repro_experiments.Figures.Quick in
     let wall = Sys.time () -. t0 in
     let gated tol direction value = { B.value; tolerance = Some tol; direction } in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
     ( "quick-reconfig",
       [ ("tput_before_msg_s", gated 0.05 B.Higher_better r.R.tput_before);
         ("tput_after_msg_s", gated 0.05 B.Higher_better r.R.tput_after);
         ("join_recovery_s", gated 0.25 B.Lower_better r.R.join_recovery_s);
-        ("tput_reconfig_msg_s", info r.R.tput_reconfig);
+        ("tput_reconfig_msg_s", info ~direction:B.Higher_better r.R.tput_reconfig);
         ("client_latency_mean_s", info r.R.client_latency_mean);
         ("final_epoch", gated 0.0 B.Higher_better (float_of_int r.R.final_epoch));
         ("wall_time_s", info wall) ] )
@@ -387,8 +396,7 @@ let run_bench_json () =
       [ ( "scaleout_speedup_4x",
           { B.value = speedup; tolerance = Some 0.10;
             direction = B.Higher_better } );
-        ("wall_time_s", { B.value = wall; tolerance = None;
-                          direction = B.Lower_better }) ] )
+        ("wall_time_s", info wall) ] )
   in
   (* Engine self-benchmark (lib/sim hot loop): calendar queue + event pool
      vs the legacy heap on a pure queue-churn workload.  Dispatch-order
@@ -404,7 +412,6 @@ let run_bench_json () =
     let pin direction value =
       { B.value; tolerance = Some 0.0; direction }
     in
-    let info value = { B.value; tolerance = None; direction = B.Lower_better } in
     ( "quick-engine-speed",
       [ ( "order_match",
           pin B.Higher_better (if r.E.order_match then 1.0 else 0.0) );
@@ -416,9 +423,10 @@ let run_bench_json () =
             /. Float.max 1. (float_of_int r.E.pool_fresh)) );
         ("heap_cpu_s", info r.E.heap_cpu_s);
         ("calendar_cpu_s", info r.E.cal_cpu_s);
-        ("speedup_vs_heap", info r.E.speedup);
+        ("speedup_vs_heap", info ~direction:B.Higher_better r.E.speedup);
         ( "events_per_cpu_s",
-          info (float_of_int r.E.events /. Float.max 1e-9 r.E.cal_cpu_s) );
+          info ~direction:B.Higher_better
+            (float_of_int r.E.events /. Float.max 1e-9 r.E.cal_cpu_s) );
         ("wall_time_s", info wall) ] )
   in
   print_endline "=== Bench baseline (quick-scale, deterministic) ===";

@@ -31,6 +31,8 @@ type t = {
   agg_seq : Types.sequence_number;
   stragglers : straggler array;
   agg_sig : Multisig.signature option;
+  identity_root : string;
+  reduction_root : string;
 }
 
 let count t =
@@ -62,41 +64,47 @@ let dense_root kind d agg_seq =
     (Printf.sprintf "dense-root|%s|%d|%d|%d|%d|%d" kind d.first_id d.count d.tag
        d.straggler_count agg_seq)
 
-let explicit_tree ~identity t entries =
-  let leaves =
-    Array.map
-      (fun e ->
-        let seq =
-          if identity then
-            match
-              Array.find_opt (fun s -> s.s_id = e.e_id) t.stragglers
-            with
-            | Some s -> s.s_seq
-            | None -> t.agg_seq
-          else t.agg_seq
-        in
-        leaf ~id:e.e_id ~seq e.e_msg)
-      entries
-  in
-  Merkle.build leaves
+(* Per entry, the index of the first straggler carrying its id, or -1 for
+   a reducer.  Both arrays are sorted by id, so one merge pass resolves
+   every entry. *)
+let straggler_index entries stragglers =
+  let m = Array.length stragglers and k = ref 0 in
+  Array.map
+    (fun e ->
+      while !k < m && stragglers.(!k).s_id < e.e_id do incr k done;
+      if !k < m && stragglers.(!k).s_id = e.e_id then !k else -1)
+    entries
 
-let reduction_root t =
-  match t.entries with
-  | Explicit entries -> Merkle.root (explicit_tree ~identity:false t entries)
-  | Dense d -> dense_root "reduction" d t.agg_seq
+let resolve_seqs entries stragglers ~agg_seq =
+  Array.map
+    (fun k -> if k < 0 then agg_seq else stragglers.(k).s_seq)
+    (straggler_index entries stragglers)
 
-let identity_root t =
+let entry_seqs t =
   match t.entries with
-  | Explicit entries -> Merkle.root (explicit_tree ~identity:true t entries)
-  | Dense d -> dense_root "identity" d t.agg_seq
+  | Explicit entries -> resolve_seqs entries t.stragglers ~agg_seq:t.agg_seq
+  | Dense _ -> invalid_arg "Batch.entry_seqs: dense batch"
+
+let explicit_tree ~seqs entries =
+  Merkle.build (Array.mapi (fun i e -> leaf ~id:e.e_id ~seq:seqs.(i) e.e_msg) entries)
+
+let identity_tree t =
+  match t.entries with
+  | Explicit entries -> explicit_tree ~seqs:(entry_seqs t) entries
+  | Dense _ -> invalid_arg "Batch.identity_tree: dense batch"
+
+let reduction_root t = t.reduction_root
+let identity_root t = t.identity_root
 
 let reducer_ids t =
   match t.entries with
   | Explicit entries ->
-    let strag = Array.to_list t.stragglers in
-    Array.to_list entries
-    |> List.filter_map (fun e ->
-           if List.exists (fun s -> s.s_id = e.e_id) strag then None else Some e.e_id)
+    let index = straggler_index entries t.stragglers in
+    let ids = ref [] in
+    for i = Array.length entries - 1 downto 0 do
+      if index.(i) < 0 then ids := entries.(i).e_id :: !ids
+    done;
+    !ids
   | Dense d ->
     List.init (d.count - d.straggler_count) (fun i -> d.first_id + i)
 
@@ -121,18 +129,22 @@ let verify dir t =
   match t.entries with
   | Explicit entries ->
     sorted_strictly entries
-    && Array.for_all
-         (fun s ->
-           match Directory.find dir s.s_id with
-           | None -> false
-           | Some card ->
-             (match Array.find_opt (fun e -> e.e_id = s.s_id) entries with
-              | None -> false
-              | Some e ->
-                Schnorr.verify card.Types.sig_pk
-                  (Types.message_statement ~id:s.s_id ~seq:s.s_seq e.e_msg)
-                  s.s_sig))
-         t.stragglers
+    &&
+    (* Both arrays are sorted by id: one merge pass pairs every straggler
+       with its entry. *)
+    let n = Array.length entries and j = ref 0 in
+    Array.for_all
+      (fun s ->
+        match Directory.find dir s.s_id with
+        | None -> false
+        | Some card ->
+          while !j < n && entries.(!j).e_id < s.s_id do incr j done;
+          !j < n
+          && entries.(!j).e_id = s.s_id
+          && Schnorr.verify card.Types.sig_pk
+               (Types.message_statement ~id:s.s_id ~seq:s.s_seq entries.(!j).e_msg)
+               s.s_sig)
+      t.stragglers
     &&
     let reducers = reducer_ids t in
     (match (reducers, t.agg_sig) with
@@ -141,7 +153,7 @@ let verify dir t =
      | _ :: _, None -> false
      | _ :: _, Some agg ->
        let pk = Directory.aggregate_ms_pks dir reducers in
-       Multisig.verify pk (Types.reduction_statement ~root:(reduction_root t)) agg)
+       Multisig.verify pk (Types.reduction_statement ~root:t.reduction_root) agg)
   | Dense d ->
     d.count > 0 && d.straggler_count >= 0 && d.straggler_count <= d.count
     && d.first_id >= 0
@@ -167,7 +179,7 @@ let verify dir t =
        reduced > 0
        &&
        let pk = Directory.aggregate_ms_pks_range dir ~first:d.first_id ~count:reduced in
-       Multisig.verify pk (Types.reduction_statement ~root:(reduction_root t)) agg)
+       Multisig.verify pk (Types.reduction_statement ~root:t.reduction_root) agg)
 
 (* The full well-formedness check.  For a fully distilled 65,536-message
    batch this matches the paper's §3.2 anchor (2.19 ms per batch: public
@@ -196,9 +208,37 @@ let non_witness_cpu_work t =
 let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
   if not (sorted_strictly entries) then
     invalid_arg "Batch.make_explicit: entries must be sorted strictly by id";
+  let entries = Array.copy entries in
   let stragglers = Array.copy stragglers in
-  Array.sort (fun a b -> Int.compare a.s_id b.s_id) stragglers;
-  { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig }
+  (* Ties on id are broken by sequence number, so the identity root does
+     not depend on the order the stragglers were supplied in. *)
+  Array.sort
+    (fun a b ->
+      match Int.compare a.s_id b.s_id with 0 -> Int.compare a.s_seq b.s_seq | c -> c)
+    stragglers;
+  let n = Array.length entries in
+  let reduction_root = Merkle.root (explicit_tree ~seqs:(Array.make n agg_seq) entries) in
+  let identity_root =
+    Merkle.root
+      (explicit_tree ~seqs:(resolve_seqs entries stragglers ~agg_seq) entries)
+  in
+  { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
+    identity_root; reduction_root }
+
+let dense ~broker ~number d ~agg_seq ~stragglers ~agg_sig =
+  { broker; number; entries = Dense d; agg_seq; stragglers; agg_sig;
+    identity_root = dense_root "identity" d agg_seq;
+    reduction_root = dense_root "reduction" d agg_seq }
+
+let rebuild ?number ?entries ?agg_seq ?stragglers ?agg_sig t =
+  let number = Option.value number ~default:t.number in
+  let agg_seq = Option.value agg_seq ~default:t.agg_seq in
+  let stragglers = Option.value stragglers ~default:t.stragglers in
+  let agg_sig = Option.value agg_sig ~default:t.agg_sig in
+  match Option.value entries ~default:t.entries with
+  | Explicit entries ->
+    make_explicit ~broker:t.broker ~number ~entries ~agg_seq ~stragglers ~agg_sig
+  | Dense d -> dense ~broker:t.broker ~number d ~agg_seq ~stragglers ~agg_sig
 
 let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_count =
   if straggler_count < 0 || straggler_count > count then
@@ -221,14 +261,13 @@ let forge_dense dir ~broker ~number ~first_id ~count ~msg_bytes ~tag ~straggler_
             (Types.message_statement ~id ~seq:(dense_straggler_seq d0) msg) ))
   in
   let d = { d0 with straggler_sample = sample } in
-  let t =
-    { broker; number; entries = Dense d; agg_seq; stragglers = [||]; agg_sig = None }
-  in
   let agg_sig =
     if reduced = 0 then None
     else begin
       let agg_sk = Directory.aggregate_dense_ms_sks_range dir ~first:first_id ~count:reduced in
-      Some (Multisig.sign agg_sk (Types.reduction_statement ~root:(reduction_root t)))
+      Some
+        (Multisig.sign agg_sk
+           (Types.reduction_statement ~root:(dense_root "reduction" d agg_seq)))
     end
   in
-  { t with agg_sig }
+  dense ~broker ~number d ~agg_seq ~stragglers:[||] ~agg_sig

@@ -23,7 +23,16 @@
     - the {e reduction root}, over leaves all carrying the aggregate
       sequence number — this is what reducing clients multi-signed;
     - the {e identity root}, with each straggler's leaf carrying its own
-      sequence number — this names the batch everywhere else. *)
+      sequence number — this names the batch everywhere else.
+
+    Both roots are computed once, when the batch is constructed, and
+    stored in the record.  [t] is private: {!make_explicit},
+    {!forge_dense} and {!rebuild} are the only ways to obtain one, so a
+    stored root always matches the record's contents.  A changed batch
+    (a renumbered or tampered copy) must be derived with {!rebuild}, which
+    re-runs the constructor.  Entry and straggler arrays reachable from a
+    batch are read-only: the constructor copies them, and nothing may
+    mutate them afterwards. *)
 
 type straggler = {
   s_id : Types.client_id;
@@ -48,13 +57,16 @@ type entries =
   | Explicit of entry array (* sorted by id, distinct *)
   | Dense of dense
 
-type t = {
+type t = private {
   broker : int;
   number : int; (* broker-local batch number *)
   entries : entries;
   agg_seq : Types.sequence_number;
-  stragglers : straggler array; (* Explicit only; sorted by id *)
+  stragglers : straggler array;
+      (* Explicit only; sorted by id, then sequence number *)
   agg_sig : Repro_crypto.Multisig.signature option;
+  identity_root : string;
+  reduction_root : string;
 }
 
 val count : t -> int
@@ -68,6 +80,16 @@ val leaf : id:Types.client_id -> seq:Types.sequence_number -> Types.message -> s
 
 val reduction_root : t -> string
 val identity_root : t -> string
+
+val entry_seqs : t -> Types.sequence_number array
+(** Per entry, the sequence number in its identity leaf: that of the first
+    straggler with its id, else the aggregate one.  Resolved by one merge
+    pass over the two id-sorted arrays on each call.
+    @raise Invalid_argument on a dense batch. *)
+
+val identity_tree : t -> Repro_crypto.Merkle.t
+(** The Merkle tree whose root is {!identity_root}, rebuilt on each call
+    (for inclusion proofs).  @raise Invalid_argument on a dense batch. *)
 
 val reducer_ids : t -> Types.client_id list
 (** Explicit batches only; Dense reducers are the leading range. *)
@@ -102,7 +124,24 @@ val make_explicit :
   stragglers:straggler array ->
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
-(** @raise Invalid_argument if entries are not sorted strictly by id. *)
+(** Copies [entries] and [stragglers], sorts the stragglers, pairs each
+    entry with its first straggler in one merge pass and computes both
+    roots (two Merkle builds).  @raise Invalid_argument if entries are empty or not sorted
+    strictly by id. *)
+
+val rebuild :
+  ?number:int ->
+  ?entries:entries ->
+  ?agg_seq:Types.sequence_number ->
+  ?stragglers:straggler array ->
+  ?agg_sig:Repro_crypto.Multisig.signature option ->
+  t ->
+  t
+(** A copy of the batch with the given fields replaced, re-run through
+    the constructor so both roots are recomputed from the new contents.
+    Signatures are carried over, never re-signed: a rebuild that changes
+    signed contents is self-consistent but fails {!verify}.
+    @raise Invalid_argument as {!make_explicit} for explicit entries. *)
 
 val forge_dense :
   Directory.t ->

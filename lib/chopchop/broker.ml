@@ -452,7 +452,7 @@ and distill_done t st root valid_shares =
              intact but the aggregate does not verify against the
              reduction root, so correct servers refuse to witness. *)
           if t.mis_garble then
-            { batch with Batch.agg_sig = Some (Multisig.forge_garbage ()) }
+            Batch.rebuild batch ~agg_sig:(Some (Multisig.forge_garbage ()))
           else batch
         in
         let batch = if t.mis_malform then malform batch else batch in
@@ -460,17 +460,18 @@ and distill_done t st root valid_shares =
       end
     end
 
-(* Tamper with one entry's message after the clients signed.  Roots are
-   recomputed from the record, so the batch is self-consistent — but no
-   client signature nor reduction multi-signature covers the new payload,
-   which is exactly what [Batch.verify] exists to catch. *)
+(* Tamper with one entry's message after the clients signed.
+   [Batch.rebuild] recomputes both roots from the tampered entries, so the
+   batch is self-consistent — but no client signature nor reduction
+   multi-signature covers the new payload, which is exactly what
+   [Batch.verify] exists to catch. *)
 and malform batch =
   match batch.Batch.entries with
-  | Batch.Explicit es when Array.length es > 0 ->
+  | Batch.Explicit es ->
     let es = Array.copy es in
     es.(0) <- { es.(0) with Batch.e_msg = "\xff" ^ es.(0).Batch.e_msg };
-    { batch with Batch.entries = Batch.Explicit es }
-  | _ -> batch
+    Batch.rebuild batch ~entries:(Batch.Explicit es)
+  | Batch.Dense _ -> batch
 
 (* Byzantine equivocation (§4.4, trustless brokers): two valid
    all-straggler batches claim the same (broker, number) slot, and each
@@ -694,28 +695,14 @@ and finish t fl ~counter ~exceptions shards =
         batch, with its inclusion proof in the identity root. *)
      (match fl.w_batch.Batch.entries with
       | Batch.Explicit entries ->
-        let leaves =
-          Array.map
-            (fun e ->
-              let seq =
-                match
-                  Array.find_opt
-                    (fun s -> s.Batch.s_id = e.Batch.e_id)
-                    fl.w_batch.Batch.stragglers
-                with
-                | Some s -> s.s_seq
-                | None -> fl.w_batch.Batch.agg_seq
-              in
-              (e.Batch.e_id, seq, Batch.leaf ~id:e.Batch.e_id ~seq e.Batch.e_msg))
-            entries
-        in
-        let tree = Merkle.build (Array.map (fun (_, _, l) -> l) leaves) in
+        let tree = Batch.identity_tree fl.w_batch in
+        let seqs = Batch.entry_seqs fl.w_batch in
         Array.iteri
-          (fun i (id, seq, _) ->
-            let proof = Merkle.prove tree i in
-            t.send_client ~client:id ~bytes:Wire.delivery_cert_bytes
+          (fun i e ->
+            let seq = seqs.(i) and proof = Merkle.prove tree i in
+            t.send_client ~client:e.Batch.e_id ~bytes:Wire.delivery_cert_bytes
               (Deliver_cert { cert; seq; proof = Some proof }))
-          leaves
+          entries
       | Batch.Dense _ -> ()));
   Hashtbl.remove t.flight fl.w_root
 
@@ -786,7 +773,7 @@ let submit_prebuilt t batch ~on_complete =
     (* Renumber with this broker's own counter: pre-built batches share
        the (broker, number) namespace with batches distilled from live
        client submissions, and servers deduplicate on that pair. *)
-    let batch = { batch with Batch.number = t.number } in
+    let batch = Batch.rebuild batch ~number:t.number in
     t.number <- t.number + 1;
     launch t batch ~on_complete:(Some on_complete)
   end

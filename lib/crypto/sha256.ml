@@ -102,18 +102,21 @@ let feed ctx s =
 
 let finalize ctx =
   let bitlen = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  feed ctx "\x80";
-  ctx.total <- ctx.total - 1;
-  while ctx.buf_len <> 56 do
-    feed ctx "\x00";
-    ctx.total <- ctx.total - 1
-  done;
-  let len = Bytes.create 8 in
+  (* Padding, written straight into the block buffer: 0x80, zeros, then
+     the 8-byte big-endian bit length — in a second block when fewer than
+     9 bytes are left in this one. *)
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\x00';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\x00';
   for i = 0 to 7 do
-    Bytes.set len i (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
+    Bytes.set buf (56 + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
   done;
-  feed ctx (Bytes.to_string len);
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
@@ -122,7 +125,7 @@ let finalize ctx =
     Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
     Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -7,16 +7,36 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== dune build @all =="
+# `stage NAME` closes the running stage, printing its wall seconds, and
+# opens the next one; `stage ""` closes the last.  The per-stage times are
+# summarised before "ci ok".
+stage_name=""
+stage_start=0
+stage_times=""
+stage() {
+  stage_now=$(date +%s.%N)
+  if [ -n "$stage_name" ]; then
+    stage_line=$(awk -v a="$stage_start" -v b="$stage_now" -v n="$stage_name" \
+      'BEGIN { printf "%8.1f s  %s", b - a, n }')
+    echo "-- $stage_line"
+    stage_times="$stage_times$stage_line
+"
+  fi
+  stage_name=$1
+  stage_start=$stage_now
+  if [ -n "$stage_name" ]; then echo "== $stage_name =="; fi
+}
+
+stage "dune build @all"
 dune build @all
 
-echo "== dune runtest =="
+stage "dune runtest"
 dune runtest
 
-echo "== chaos fault-injection smoke =="
+stage "chaos fault-injection smoke"
 dune exec bin/main.exe -- chaos --scenario kitchen-sink --scale quick
 
-echo "== recovery smoke: crash -> cold restart -> catch-up =="
+stage "recovery smoke: crash -> cold restart -> catch-up"
 # Acceptance scenario for the durable store: a crashed server cold
 # restarts from its WAL/checkpoint, state-transfers the rest from live
 # peers, and ends with the same app digest as a never-crashed replica
@@ -24,10 +44,10 @@ echo "== recovery smoke: crash -> cold restart -> catch-up =="
 dune exec bin/main.exe -- chaos --scenario crash-cold-restart --scale quick
 dune exec bin/main.exe -- store
 
-echo "== trace-enabled bench smoke =="
+stage "trace-enabled bench smoke"
 CHOPCHOP_BENCH_SCALE=quick dune exec bench/main.exe -- trace
 
-echo "== reconfiguration smoke: ordered membership under adversarial load =="
+stage "reconfiguration smoke: ordered membership under adversarial load"
 # Kitchen-sink reconfiguration: join + leave + rolling restarts with a
 # flash crowd and spam clients in flight; every surviving replica must
 # land on the same epoch and app digest.  The experiment then measures
@@ -35,20 +55,20 @@ echo "== reconfiguration smoke: ordered membership under adversarial load =="
 dune exec bin/main.exe -- chaos --scenario reconfig-kitchen-sink --scale quick
 dune exec bin/main.exe -- run reconfig-load --scale quick
 
-echo "== broker multi-core scalability smoke =="
+stage "broker multi-core scalability smoke"
 # Sweeps 1/4/16/32 worker lanes on one overloaded broker; the experiment
 # itself fails if throughput is not monotone in lanes or does not
 # saturate at the NIC bound.
 dune exec bin/main.exe -- run broker-cores --scale quick
 
-echo "== broker fleet scale-out smoke =="
+stage "broker fleet scale-out smoke"
 # lib/fleet: 1/2/4/8 hash-partitioned brokers under per-point saturation;
 # the experiment itself fails if delivered throughput is not monotone in
 # fleet size, if 2 brokers do not clear the single-broker NIC bound, or
 # if 4 brokers land below 2.5x it.
 dune exec bin/main.exe -- run broker-scaleout --scale quick
 
-echo "== fleet chaos smoke: broker crash failover + hot shard =="
+stage "fleet chaos smoke: broker crash failover + hot shard"
 # fleet-broker-crash: the hottest home broker crashes mid-run; clients
 # walk their failover rotation, the signup shard hands off to the same
 # successor, and every broadcast still completes.  fleet-hot-shard: a
@@ -57,7 +77,7 @@ echo "== fleet chaos smoke: broker crash failover + hot shard =="
 dune exec bin/main.exe -- chaos --scenario fleet-broker-crash --scale quick
 dune exec bin/main.exe -- chaos --scenario fleet-hot-shard --scale quick
 
-echo "== sweep orchestrator smoke =="
+stage "sweep orchestrator smoke"
 # Tiny manifest, run serially: the aggregated results file must exist
 # and parse with every cell present (--figures re-reads it through the
 # same parser), and a second invocation must resume (skip all completed
@@ -75,7 +95,7 @@ dune exec bin/main.exe -- sweep --manifest examples/sweep-ci.json \
   || { echo "sweep smoke: resume did not engage"; exit 1; }
 rm -rf "$sweep_out"
 
-echo "== engine hot-loop smoke: calendar queue vs legacy heap =="
+stage "engine hot-loop smoke: calendar queue vs legacy heap"
 # The engine self-benchmark runs the same deterministic queue-churn
 # workload under both event-queue implementations; the experiment itself
 # fails if the calendar's dispatch order diverges from the heap's, if
@@ -83,7 +103,7 @@ echo "== engine hot-loop smoke: calendar queue vs legacy heap =="
 # 2x the heap's events per CPU second at quick scale.
 dune exec bin/main.exe -- run engine-speed --scale quick
 
-echo "== profiler / doctor smoke =="
+stage "profiler / doctor smoke"
 # The engine self-profiler is a pure observer: two same-seed `chopchop
 # profile` runs must produce byte-identical deterministic JSON (--no-wall
 # strips the machine-dependent half), and the health doctor must produce
@@ -102,7 +122,7 @@ grep -q '"phase"' "$prof_dir/diag.json" \
   || { echo "doctor smoke: diagnosis JSON empty or missing phase"; exit 1; }
 rm -rf "$prof_dir"
 
-echo "== bench baseline regression gate =="
+stage "bench baseline regression gate"
 # Regenerate the machine-readable baseline and diff it against the
 # committed one; the sim is deterministic, so any gated drift is a real
 # code-behaviour change (regenerate + commit BENCH_chopchop.json when
@@ -112,4 +132,7 @@ trap 'rm -f "$tmp_bench"' EXIT
 CHOPCHOP_BENCH_OUT="$tmp_bench" dune exec bench/main.exe -- json
 scripts/bench_compare BENCH_chopchop.json "$tmp_bench"
 
+stage ""
+echo "== stage wall times =="
+printf '%s' "$stage_times"
 echo "ci ok"

@@ -64,8 +64,9 @@ let test_garble_rejected () =
   checki "all broadcasts completed via honest broker" expected completed;
   checkb "invariants hold" true (Chaos.Invariant.ok inv)
 
-(* Broker 0 tampers with a client payload: the batch no longer matches
-   its roots, so Batch.verify fails on every server. *)
+(* Broker 0 tampers with a client payload: the rebuilt batch's roots
+   cover a payload no client signature or multi-signature covers, so
+   Batch.verify fails on every server. *)
 let test_malform_rejected () =
   let _, inv, trace, completed, expected =
     run_mini ~client_brokers:[ 0; 1 ]

@@ -221,15 +221,15 @@ let test_batch_rejects_forgery () =
   let dir = Directory.create ~dense_count:100 () in
   let good = explicit_batch dir ~ids:[ 1; 5; 9 ] ~agg_seq:2 ~straggler_ids:[] in
   (* Garbage aggregate signature *)
-  let bad1 = { good with Batch.agg_sig = Some (Multisig.forge_garbage ()) } in
+  let bad1 = Batch.rebuild good ~agg_sig:(Some (Multisig.forge_garbage ())) in
   checkb "garbage aggregate rejected" false (Batch.verify dir bad1);
   (* Missing aggregate for reduced entries *)
-  let bad2 = { good with Batch.agg_sig = None } in
+  let bad2 = Batch.rebuild good ~agg_sig:None in
   checkb "missing aggregate rejected" false (Batch.verify dir bad2);
   (* Tampered message: the aggregate no longer covers the root *)
   let entries = mk_entries [ 1; 5; 9 ] in
   entries.(1) <- { entries.(1) with Batch.e_msg = "EVIL" };
-  let bad3 = { good with Batch.entries = Batch.Explicit entries } in
+  let bad3 = Batch.rebuild good ~entries:(Batch.Explicit entries) in
   checkb "tampered message rejected" false (Batch.verify dir bad3)
 
 let test_batch_rejects_bad_straggler_sig () =
@@ -238,8 +238,18 @@ let test_batch_rejects_bad_straggler_sig () =
   let bad_strag =
     Array.map (fun s -> { s with Batch.s_sig = Schnorr.forge_garbage () }) good.Batch.stragglers
   in
-  let bad = { good with Batch.stragglers = bad_strag } in
-  checkb "forged straggler signature rejected" false (Batch.verify dir bad)
+  let bad = Batch.rebuild good ~stragglers:bad_strag in
+  checkb "forged straggler signature rejected" false (Batch.verify dir bad);
+  (* A genuinely signed straggler for a client with no entry: its message
+     is the next entry's, so only the id match can refuse it. *)
+  let stray =
+    { Batch.s_id = 3; s_seq = 0;
+      s_sig =
+        Schnorr.sign (Directory.dense_keypair 3).sig_sk
+          (Types.message_statement ~id:3 ~seq:0 "m5") }
+  in
+  let bad = Batch.rebuild good ~stragglers:(Array.append good.Batch.stragglers [| stray |]) in
+  checkb "straggler naming no entry rejected" false (Batch.verify dir bad)
 
 let test_batch_dense_verifies () =
   let dir = Directory.create ~dense_count:10_000 () in
@@ -267,14 +277,14 @@ let test_batch_dense_rejects () =
       ~tag:1 ~straggler_count:0
   in
   checkb "garbage aggregate rejected" false
-    (Batch.verify dir { b with Batch.agg_sig = Some (Multisig.forge_garbage ()) });
+    (Batch.verify dir (Batch.rebuild b ~agg_sig:(Some (Multisig.forge_garbage ()))));
   checkb "out-of-directory range rejected" false
     (Batch.verify dir
-       { b with
-         Batch.entries =
-           (match b.Batch.entries with
-            | Batch.Dense d -> Batch.Dense { d with Batch.first_id = 950 }
-            | e -> e) })
+       (Batch.rebuild b
+          ~entries:
+            (match b.Batch.entries with
+             | Batch.Dense d -> Batch.Dense { d with Batch.first_id = 950 }
+             | e -> e)))
 
 let test_batch_dense_explicit_equivalence () =
   (* Ablation (DESIGN.md): the two representations describe the same
@@ -469,7 +479,7 @@ let test_forged_batch_never_delivered () =
     Batch.forge_dense dir ~broker:0 ~number:0 ~first_id:0 ~count:64 ~msg_bytes:8
       ~tag:1 ~straggler_count:0
   in
-  let forged = { good with Batch.agg_sig = Some (Multisig.forge_garbage ()) } in
+  let forged = Batch.rebuild good ~agg_sig:(Some (Multisig.forge_garbage ())) in
   Broker.submit_prebuilt (Deployment.broker d 0) forged ~on_complete:(fun _ ->
       Alcotest.fail "forged batch must not complete");
   Deployment.run d ~until:30.0;
@@ -628,6 +638,184 @@ let test_stob_item_bytes () =
           { card = (Types.keypair_of_seed "s").card; reply_broker = 0; nonce = 1 })
      >= 64)
 
+(* --- Batch oracles -------------------------------------------------------- *)
+
+(* Reference derivation: the original scan-based roots, one
+   [Array.find_opt] over the stragglers per entry.  [Batch] computes the
+   same roots once, at construction, with a merge pass. *)
+let reference_seq (b : Batch.t) (e : Batch.entry) =
+  match Array.find_opt (fun s -> s.Batch.s_id = e.Batch.e_id) b.Batch.stragglers with
+  | Some s -> s.Batch.s_seq
+  | None -> b.Batch.agg_seq
+
+let reference_roots (b : Batch.t) =
+  match b.Batch.entries with
+  | Batch.Dense _ -> invalid_arg "reference_roots: dense batch"
+  | Batch.Explicit entries ->
+    let root seq =
+      Repro_crypto.Merkle.root
+        (Repro_crypto.Merkle.build
+           (Array.map (fun e -> Batch.leaf ~id:e.Batch.e_id ~seq:(seq e) e.Batch.e_msg) entries))
+    in
+    (root (reference_seq b), root (fun _ -> b.Batch.agg_seq))
+
+let reference_reducers (b : Batch.t) =
+  match b.Batch.entries with
+  | Batch.Dense _ -> invalid_arg "reference_reducers: dense batch"
+  | Batch.Explicit entries ->
+    let strag = Array.to_list b.Batch.stragglers in
+    Array.to_list entries
+    |> List.filter_map (fun e ->
+           if List.exists (fun s -> s.Batch.s_id = e.Batch.e_id) strag then None
+           else Some e.Batch.e_id)
+
+(* Random explicit batch contents: distinct sorted entry ids with random
+   messages, and stragglers that may repeat an id (with differing sequence
+   numbers) or name no entry at all.  Signatures are garbage: roots do not
+   cover them. *)
+let arb_explicit_contents =
+  let open QCheck.Gen in
+  let gen =
+    let* ids = list_size (int_range 1 24) (int_bound 120) in
+    let ids = List.sort_uniq compare ids in
+    let* msgs = list_repeat (List.length ids) (string_size ~gen:printable (int_bound 10)) in
+    let entries = List.map2 (fun id m -> { Batch.e_id = id; e_msg = m }) ids msgs in
+    let straggler_id = oneof [ oneofl ids; int_bound 130 ] in
+    let* stragglers = list_size (int_bound 30) (pair straggler_id (int_bound 4)) in
+    let* agg_seq = int_bound 4 in
+    let* perm = shuffle_l stragglers in
+    return (Array.of_list entries, stragglers, perm, agg_seq)
+  in
+  let print (entries, stragglers, _, agg_seq) =
+    Printf.sprintf "entries=[%s] stragglers=[%s] agg_seq=%d"
+      (String.concat ";" (Array.to_list (Array.map (fun e -> string_of_int e.Batch.e_id) entries)))
+      (String.concat ";" (List.map (fun (id, seq) -> Printf.sprintf "%d@%d" id seq) stragglers))
+      agg_seq
+  in
+  QCheck.make ~print gen
+
+let batch_of_contents entries stragglers agg_seq =
+  let stragglers =
+    Array.of_list
+      (List.map
+         (fun (id, seq) -> { Batch.s_id = id; s_seq = seq; s_sig = Schnorr.forge_garbage () })
+         stragglers)
+  in
+  Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers ~agg_sig:None
+
+(* The explicit twin of a dense batch: the same ids, messages, sequence
+   numbers and straggler set, genuinely signed over the explicit root. *)
+let explicit_twin dense =
+  let d = match dense.Batch.entries with Batch.Dense d -> d | _ -> assert false in
+  let seq = dense.Batch.agg_seq in
+  let first_straggler = d.Batch.first_id + d.Batch.count - d.Batch.straggler_count in
+  let entries =
+    Array.init d.Batch.count (fun i ->
+        let id = d.Batch.first_id + i in
+        { Batch.e_id = id; e_msg = Batch.dense_message d id })
+  in
+  let stragglers =
+    Array.map
+      (fun e ->
+        let id = e.Batch.e_id in
+        { Batch.s_id = id; s_seq = seq;
+          s_sig =
+            Schnorr.sign (Directory.dense_keypair id).sig_sk
+              (Types.message_statement ~id ~seq e.Batch.e_msg) })
+      (Array.sub entries (first_straggler - d.Batch.first_id) d.Batch.straggler_count)
+  in
+  let skeleton =
+    Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq:seq ~stragglers ~agg_sig:None
+  in
+  let root = Batch.reduction_root skeleton in
+  let agg_sig =
+    if first_straggler = d.Batch.first_id then None
+    else
+      Some
+        (Multisig.aggregate_signatures
+           (List.init (first_straggler - d.Batch.first_id) (fun i ->
+                Multisig.sign (Directory.dense_keypair (d.Batch.first_id + i)).ms_sk
+                  (Types.reduction_statement ~root))))
+  in
+  Batch.rebuild skeleton ~agg_sig
+
+let suite_batch_oracles =
+  [ qtest ~count:200 "stored roots, seqs and reducers match the scan reference"
+      arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let b = batch_of_contents entries stragglers agg_seq in
+        let seqs = Batch.entry_seqs b in
+        (Batch.identity_root b, Batch.reduction_root b) = reference_roots b
+        && Batch.reducer_ids b = reference_reducers b
+        && Array.for_all Fun.id
+             (Array.mapi (fun i e -> seqs.(i) = reference_seq b e) entries));
+    qtest ~count:200 "roots do not depend on straggler order" arb_explicit_contents
+      (fun (entries, stragglers, perm, agg_seq) ->
+        let a = batch_of_contents entries stragglers agg_seq in
+        let b = batch_of_contents entries perm agg_seq in
+        Batch.identity_root a = Batch.identity_root b
+        && Batch.reduction_root a = Batch.reduction_root b);
+    qtest ~count:40 "verify rejects any single tampered message, signature or agg_seq"
+      QCheck.(
+        quad (list_of_size (Gen.int_range 1 10) (int_bound 60)) (int_bound 3)
+          (int_bound 2) small_nat)
+      (fun (raw_ids, agg_seq, field, pick) ->
+        let dir = Directory.create ~dense_count:100 () in
+        let ids = List.sort_uniq compare raw_ids in
+        let straggler_ids = List.filteri (fun i _ -> i mod 2 = 1) ids in
+        let good = explicit_batch dir ~ids ~agg_seq ~straggler_ids in
+        let tampered =
+          match field with
+          | 0 ->
+            let es = match good.Batch.entries with Batch.Explicit es -> Array.copy es | _ -> [||] in
+            let i = pick mod Array.length es in
+            es.(i) <- { (es.(i)) with Batch.e_msg = es.(i).Batch.e_msg ^ "!" };
+            Some (Batch.rebuild good ~entries:(Batch.Explicit es))
+          | 1 when straggler_ids <> [] ->
+            let ss = Array.copy good.Batch.stragglers in
+            let k = pick mod Array.length ss in
+            ss.(k) <- { (ss.(k)) with Batch.s_sig = Schnorr.forge_garbage () };
+            Some (Batch.rebuild good ~stragglers:ss)
+          | 2 when Batch.reduced_count good > 0 ->
+            (* Reducers signed the root over the old agg_seq. *)
+            Some (Batch.rebuild good ~agg_seq:(agg_seq + 1))
+          | _ -> None
+        in
+        Batch.verify dir good
+        && match tampered with Some bad -> not (Batch.verify dir bad) | None -> true);
+    qtest ~count:40 "explicit twin of a dense batch gets the same verdict"
+      QCheck.(quad (int_range 1 20) small_nat (int_range 1 4) (int_bound 3))
+      (fun (count, stragglers, tag, corruption) ->
+        let dir = Directory.create ~dense_count:100 () in
+        let straggler_count = stragglers mod (count + 1) in
+        let dense =
+          Batch.forge_dense dir ~broker:0 ~number:0 ~first_id:(tag * 7) ~count ~msg_bytes:8
+            ~tag ~straggler_count
+        in
+        let explicit = explicit_twin dense in
+        let corrupt (b : Batch.t) =
+          match corruption with
+          | 1 -> Batch.rebuild b ~agg_sig:(Some (Multisig.forge_garbage ()))
+          | 2 -> Batch.rebuild b ~agg_sig:None
+          | 3 when straggler_count > 0 ->
+            (* Forge the highest id's signature: it is a straggler in both. *)
+            (match b.Batch.entries with
+             | Batch.Dense d ->
+               let sample = Array.copy d.Batch.straggler_sample in
+               sample.(0) <- (fst sample.(0), Schnorr.forge_garbage ());
+               Batch.rebuild b
+                 ~entries:(Batch.Dense { d with Batch.straggler_sample = sample })
+             | Batch.Explicit _ ->
+               let ss = Array.copy b.Batch.stragglers in
+               let k = Array.length ss - 1 in
+               ss.(k) <- { (ss.(k)) with Batch.s_sig = Schnorr.forge_garbage () };
+               Batch.rebuild b ~stragglers:ss)
+          | _ -> b
+        in
+        let verdict = Batch.verify dir (corrupt dense) in
+        verdict = Batch.verify dir (corrupt explicit)
+        && (corruption <> 0 || verdict)) ]
+
 let suite_batch_props =
   [ qtest ~count:40 "random straggler subsets verify; any corruption fails"
       QCheck.(pair (list_of_size (Gen.int_range 1 12) (int_bound 60)) (int_bound 2))
@@ -641,11 +829,11 @@ let suite_batch_props =
         let corrupted =
           match mutation with
           | 0 when b.Batch.agg_sig <> None ->
-            Some { b with Batch.agg_sig = Some (Multisig.forge_garbage ()) }
+            Some (Batch.rebuild b ~agg_sig:(Some (Multisig.forge_garbage ())))
           | 1 ->
             (* A different aggregate sequence number breaks the root the
                reducers signed (unless everyone straggled). *)
-            if Batch.reduced_count b > 0 then Some { b with Batch.agg_seq = 6 }
+            if Batch.reduced_count b > 0 then Some (Batch.rebuild b ~agg_seq:6)
             else None
           | _ -> None
         in
@@ -690,7 +878,7 @@ let () =
          Alcotest.test_case "cost model monotone" `Quick test_batch_costs_monotone;
          Alcotest.test_case "fallback verify cost" `Quick test_fallback_verify_cost;
          Alcotest.test_case "ceil_log2 boundaries" `Quick test_ceil_log2_boundaries ]
-       @ suite_batch_props);
+       @ suite_batch_props @ suite_batch_oracles);
       ("protocol",
        [ Alcotest.test_case "e2e agreement + no-dup" `Quick test_e2e_agreement_nodup;
          Alcotest.test_case "signup ranks agree" `Quick test_signup_ranks_agree;
