@@ -205,10 +205,19 @@ let non_witness_cpu_work t =
       ((float_of_int n *. Cost.dedup_per_message)
       +. (float_of_int (n * (msg + 4)) *. Cost.serialize_per_byte))
 
-let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
+type proposal = {
+  p_entries : entry array;
+  p_agg_seq : Types.sequence_number;
+  p_tree : Merkle.t;
+}
+
+let propose ~entries ~agg_seq =
   if not (sorted_strictly entries) then
-    invalid_arg "Batch.make_explicit: entries must be sorted strictly by id";
-  let entries = Array.copy entries in
+    invalid_arg "Batch.propose: entries must be sorted strictly by id";
+  let seqs = Array.make (Array.length entries) agg_seq in
+  { p_entries = entries; p_agg_seq = agg_seq; p_tree = explicit_tree ~seqs entries }
+
+let distill p ~broker ~number ~stragglers ~agg_sig =
   let stragglers = Array.copy stragglers in
   (* Ties on id are broken by sequence number, so the identity root does
      not depend on the order the stragglers were supplied in. *)
@@ -216,14 +225,17 @@ let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
     (fun a b ->
       match Int.compare a.s_id b.s_id with 0 -> Int.compare a.s_seq b.s_seq | c -> c)
     stragglers;
-  let n = Array.length entries in
-  let reduction_root = Merkle.root (explicit_tree ~seqs:(Array.make n agg_seq) entries) in
+  let entries = p.p_entries and agg_seq = p.p_agg_seq in
   let identity_root =
     Merkle.root
       (explicit_tree ~seqs:(resolve_seqs entries stragglers ~agg_seq) entries)
   in
   { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
-    identity_root; reduction_root }
+    identity_root; reduction_root = Merkle.root p.p_tree }
+
+let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
+  distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker ~number ~stragglers
+    ~agg_sig
 
 let dense ~broker ~number d ~agg_seq ~stragglers ~agg_sig =
   { broker; number; entries = Dense d; agg_seq; stragglers; agg_sig;

@@ -26,13 +26,14 @@
       sequence number — this names the batch everywhere else.
 
     Both roots are computed once, when the batch is constructed, and
-    stored in the record.  [t] is private: {!make_explicit},
-    {!forge_dense} and {!rebuild} are the only ways to obtain one, so a
-    stored root always matches the record's contents.  A changed batch
-    (a renumbered or tampered copy) must be derived with {!rebuild}, which
-    re-runs the constructor.  Entry and straggler arrays reachable from a
-    batch are read-only: the constructor copies them, and nothing may
-    mutate them afterwards. *)
+    stored in the record.  [t] is private: {!distill} (of a {!proposal}),
+    {!make_explicit}, {!forge_dense} and {!rebuild} are the only ways to
+    obtain one, so a stored root always matches the record's contents.
+    A changed batch (a renumbered or tampered copy) must be derived with
+    {!rebuild}, which re-runs the constructor.  Entry and straggler arrays
+    reachable from a batch are read-only: the constructors copy them
+    ({!propose} takes its entries over instead), and nothing may mutate
+    them afterwards. *)
 
 type straggler = {
   s_id : Types.client_id;
@@ -116,6 +117,40 @@ val non_witness_cpu_work : t -> Repro_sim.Cpu.work
     deserialization + deduplication (divisible) and the witness
     certificate pairing check (serial). *)
 
+type proposal = private {
+  p_entries : entry array; (* sorted strictly by id; read-only *)
+  p_agg_seq : Types.sequence_number;
+  p_tree : Repro_crypto.Merkle.t;
+      (* reduction tree: leaf [i] is [leaf] of entry [i] at [p_agg_seq] *)
+}
+(** A broker's proposal (#4–#7): the entries it will batch, the aggregate
+    sequence number and the Merkle tree whose root the reducing clients
+    multi-sign, which is the {!reduction_root} of every batch distilled
+    from it.  Only {!propose} builds one, so [p_tree] always matches the
+    entries; the broker hands out inclusion proofs from [p_tree] and
+    {!distill} reads the reduction root from it instead of building the
+    tree again. *)
+
+val propose : entries:entry array -> agg_seq:Types.sequence_number -> proposal
+(** Builds the reduction tree (one Merkle build).  The proposal takes
+    [entries] over without copying it, so the caller must not mutate the
+    array afterwards; the broker hands over an array it has just built.
+    @raise Invalid_argument if entries are empty or not sorted strictly
+    by id. *)
+
+val distill :
+  proposal ->
+  broker:int ->
+  number:int ->
+  stragglers:straggler array ->
+  agg_sig:Repro_crypto.Multisig.signature option ->
+  t
+(** The batch of the proposal's entries with the given stragglers and
+    aggregate signature.  Copies and sorts [stragglers], pairs each entry
+    with its first straggler in one merge pass and builds only the
+    identity tree; the reduction root is the proposal's.  The batch shares
+    the proposal's (read-only) entry array and keeps no tree. *)
+
 val make_explicit :
   broker:int ->
   number:int ->
@@ -124,10 +159,10 @@ val make_explicit :
   stragglers:straggler array ->
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
-(** Copies [entries] and [stragglers], sorts the stragglers, pairs each
-    entry with its first straggler in one merge pass and computes both
-    roots (two Merkle builds).  @raise Invalid_argument if entries are empty or not sorted
-    strictly by id. *)
+(** [distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker
+    ~number ~stragglers ~agg_sig]: two Merkle builds, and the caller keeps
+    its array.
+    @raise Invalid_argument as {!propose}. *)
 
 val rebuild :
   ?number:int ->
@@ -141,7 +176,7 @@ val rebuild :
     the constructor so both roots are recomputed from the new contents.
     Signatures are carried over, never re-signed: a rebuild that changes
     signed contents is self-consistent but fails {!verify}.
-    @raise Invalid_argument as {!make_explicit} for explicit entries. *)
+    @raise Invalid_argument as {!propose} for explicit entries. *)
 
 val forge_dense :
   Directory.t ->

@@ -35,10 +35,8 @@ type submission = {
 }
 
 type reducing = {
-  r_entries : Batch.entry array; (* sorted by id *)
+  r_proposal : Batch.proposal;
   r_subs : (Types.client_id, submission) Hashtbl.t;
-  r_agg_seq : int;
-  r_tree : Merkle.t;
   r_shares : (Types.client_id, Multisig.signature) Hashtbl.t;
 }
 
@@ -302,22 +300,21 @@ and propose t subs =
       Array.of_list
         (List.map (fun s -> { Batch.e_id = s.sub_id; e_msg = s.sub_msg }) subs)
     in
-    let leaves =
-      Array.map (fun e -> Batch.leaf ~id:e.Batch.e_id ~seq:agg_seq e.e_msg) entries
+    let leaf_bytes =
+      String.length (Batch.leaf ~id:entries.(0).Batch.e_id ~seq:agg_seq entries.(0).e_msg)
     in
     Cpu.submit t.cpu
       ~work:
-        (Cpu.parallel
-           (Cost.merkle_build ~leaves:(Array.length leaves)
-              ~leaf_bytes:(String.length leaves.(0))))
+        (Cpu.parallel (Cost.merkle_build ~leaves:(Array.length entries) ~leaf_bytes))
       (fun () ->
         if not t.crashed then begin
-          let tree = Merkle.build leaves in
+          let proposal = Batch.propose ~entries ~agg_seq in
+          let tree = proposal.Batch.p_tree in
           let root = Merkle.root tree in
           let r_subs = Hashtbl.create (List.length subs) in
           List.iter (fun s -> Hashtbl.replace r_subs s.sub_id s) subs;
           let st =
-            { r_entries = entries; r_subs; r_agg_seq = agg_seq; r_tree = tree;
+            { r_proposal = proposal; r_subs;
               r_shares = Hashtbl.create (List.length subs) }
           in
           Hashtbl.replace t.reducing root st;
@@ -420,7 +417,7 @@ and distill_done t st root valid_shares =
       List.iter (fun id -> Hashtbl.replace reduced id ()) reduced_ids;
       let stragglers =
         Array.of_list
-          (Array.to_list st.r_entries
+          (Array.to_list st.r_proposal.Batch.p_entries
           |> List.filter_map (fun e ->
                  if Hashtbl.mem reduced e.Batch.e_id then None
                  else
@@ -436,15 +433,14 @@ and distill_done t st root valid_shares =
       let number = t.number in
       t.number <- number + 1;
       let batch =
-        Batch.make_explicit ~broker:t.cfg.broker_id ~number ~entries:st.r_entries
-          ~agg_seq:st.r_agg_seq ~stragglers ~agg_sig
+        Batch.distill st.r_proposal ~broker:t.cfg.broker_id ~number ~stragglers ~agg_sig
       in
       (let s = tr t in
        if Trace.enabled s then
          Trace.span_end s ~now:(Engine.now t.engine) ~actor:(tr_actor t)
            ~cat:"broker" ~name:"distill" ~id:(Trace.key root)
            ~attrs:[ ("stragglers", Trace.A_int (Array.length stragglers)) ]);
-      if t.mis_equivocate && Array.length st.r_entries >= 2 then
+      if t.mis_equivocate && Array.length st.r_proposal.Batch.p_entries >= 2 then
         launch_equivocal t st number
       else begin
         let batch =
@@ -480,8 +476,9 @@ and malform batch =
    only the servers' (broker, number) deduplication at STOB delivery
    guarantees that at most one of them is ever delivered. *)
 and launch_equivocal t st number =
+  let { Batch.p_entries; p_agg_seq; _ } = st.r_proposal in
   let half lo len =
-    let entries = Array.sub st.r_entries lo len in
+    let entries = Array.sub p_entries lo len in
     let stragglers =
       Array.map
         (fun e ->
@@ -490,10 +487,10 @@ and launch_equivocal t st number =
         entries
     in
     Batch.make_explicit ~broker:t.cfg.broker_id ~number ~entries
-      ~agg_seq:st.r_agg_seq ~stragglers ~agg_sig:None
+      ~agg_seq:p_agg_seq ~stragglers ~agg_sig:None
   in
-  let k = Array.length st.r_entries / 2 in
-  let a = half 0 k and b = half k (Array.length st.r_entries - k) in
+  let k = Array.length p_entries / 2 in
+  let a = half 0 k and b = half k (Array.length p_entries - k) in
   launch t a ~on_complete:None ~only:(fun dst -> dst land 1 = 0)
     ~force_witness:true;
   launch t b ~on_complete:None ~only:(fun dst -> dst land 1 = 1)

@@ -1,6 +1,7 @@
-(* SHA-256 on native ints: 32-bit words live in the low bits of an int and
-   are masked after every addition.  Rotations are implemented on the
-   masked representation. *)
+(* SHA-256 on native ints: 32-bit words live in the low bits of an int.
+   Sums are masked when they are stored back into a word; rotations are
+   left unmasked and each sigma masks its xor once, since the garbage
+   bits above bit 31 never reach the low 32. *)
 
 let mask = 0xFFFF_FFFF
 
@@ -25,46 +26,66 @@ type ctx = {
   w : int array;              (* 64-word message schedule, reused *)
 }
 
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+            0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
 let init () = {
-  h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-         0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+  h = Array.copy iv;
   buf = Bytes.create 64;
   buf_len = 0;
   total = 0;
   w = Array.make 64 0;
 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
+
+(* Compression-function calls made on this domain. *)
+let block_count = Domain.DLS.new_key (fun () -> ref 0)
+
+let blocks () = !(Domain.DLS.get block_count)
+
+external big_endian : unit -> bool = "%big_endian"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Big-endian 32-bit load; the caller has bounds-checked [i + 4]. *)
+let load_be32 b i =
+  let v = get32u b i in
+  Int32.to_int (if big_endian () then v else bswap32 v) land mask
+
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let compress ctx block off =
+  if off < 0 || off + 64 > Bytes.length block then invalid_arg "Sha256.compress";
+  incr (Domain.DLS.get block_count);
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
+    Array.unsafe_set w i (load_be32 block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let s0 = (rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3)) land mask in
+    let s1 = (rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10)) land mask in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land mask in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g; g := !f; f := !e;
+    let e' = !e and a' = !a in
+    let s1 = (rotr e' 6 lxor rotr e' 11 lxor rotr e' 25) land mask in
+    let ch = !g lxor (e' land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = (rotr a' 2 lxor rotr a' 13 lxor rotr a' 22) land mask in
+    let maj = (a' land !b) lor (!c land (a' lor !b)) in
+    hh := !g; g := !f; f := e';
     e := (!d + t1) land mask;
-    d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+    d := !c; c := !b; b := a';
+    a := (t1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -90,9 +111,9 @@ let feed ctx s =
       ctx.buf_len <- 0
     end
   end;
+  (* Whole blocks are compressed in place: [compress] only reads. *)
   while n - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf 0;
+    compress ctx (Bytes.unsafe_of_string s) !pos;
     pos := !pos + 64
   done;
   if !pos < n then begin
@@ -101,7 +122,6 @@ let feed ctx s =
   end
 
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
   (* Padding, written straight into the block buffer: 0x80, zeros, then
      the 8-byte big-endian bit length — in a second block when fewer than
      9 bytes are left in this one. *)
@@ -113,27 +133,28 @@ let finalize ctx =
     Bytes.fill buf 0 56 '\x00'
   end
   else Bytes.fill buf (n + 1) (55 - n) '\x00';
-  for i = 0 to 7 do
-    Bytes.set buf (56 + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
-  done;
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
   compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 
+(* One context per domain, reset by every one-shot call.  No one-shot call
+   runs another while its context is live, so nesting (as in [hmac]) is
+   safe. *)
+let one_shot = Domain.DLS.new_key init
+
 let digest s =
-  let ctx = init () in
+  let ctx = Domain.DLS.get one_shot in
+  reset ctx;
   feed ctx s;
   finalize ctx
 
 let digest_list ss =
-  let ctx = init () in
+  let ctx = Domain.DLS.get one_shot in
+  reset ctx;
   List.iter (feed ctx) ss;
   finalize ctx
 
@@ -146,7 +167,14 @@ let hmac ~key msg =
   in
   digest (pad 0x5c ^ digest (pad 0x36 ^ msg))
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string out

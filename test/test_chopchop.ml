@@ -205,13 +205,13 @@ let test_batch_all_stragglers () =
 
 let test_batch_rejects_unsorted () =
   Alcotest.check_raises "unsorted entries"
-    (Invalid_argument "Batch.make_explicit: entries must be sorted strictly by id")
+    (Invalid_argument "Batch.propose: entries must be sorted strictly by id")
     (fun () ->
       ignore
         (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ 5; 1 ])
            ~agg_seq:0 ~stragglers:[||] ~agg_sig:None));
   Alcotest.check_raises "duplicate ids"
-    (Invalid_argument "Batch.make_explicit: entries must be sorted strictly by id")
+    (Invalid_argument "Batch.propose: entries must be sorted strictly by id")
     (fun () ->
       ignore
         (Batch.make_explicit ~broker:0 ~number:0 ~entries:(mk_entries [ 1; 1 ])
@@ -694,14 +694,15 @@ let arb_explicit_contents =
   in
   QCheck.make ~print gen
 
+let stragglers_of_contents stragglers =
+  Array.of_list
+    (List.map
+       (fun (id, seq) -> { Batch.s_id = id; s_seq = seq; s_sig = Schnorr.forge_garbage () })
+       stragglers)
+
 let batch_of_contents entries stragglers agg_seq =
-  let stragglers =
-    Array.of_list
-      (List.map
-         (fun (id, seq) -> { Batch.s_id = id; s_seq = seq; s_sig = Schnorr.forge_garbage () })
-         stragglers)
-  in
-  Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers ~agg_sig:None
+  Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq
+    ~stragglers:(stragglers_of_contents stragglers) ~agg_sig:None
 
 (* The explicit twin of a dense batch: the same ids, messages, sequence
    numbers and straggler set, genuinely signed over the explicit root. *)
@@ -816,6 +817,85 @@ let suite_batch_oracles =
         verdict = Batch.verify dir (corrupt explicit)
         && (corruption <> 0 || verdict)) ]
 
+(* --- Proposals ----------------------------------------------------------- *)
+
+let distilled_of_contents entries stragglers agg_seq =
+  let p = Batch.propose ~entries ~agg_seq in
+  (p, Batch.distill p ~broker:0 ~number:0 ~stragglers:(stragglers_of_contents stragglers)
+        ~agg_sig:None)
+
+let suite_proposal_oracles =
+  [ qtest ~count:200 "distill of a proposal stores make_explicit's and the reference roots"
+      arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let _, d = distilled_of_contents entries stragglers agg_seq in
+        let m = batch_of_contents entries stragglers agg_seq in
+        let roots b = (Batch.identity_root b, Batch.reduction_root b) in
+        roots d = roots m && roots d = reference_roots d
+        && d.Batch.stragglers = m.Batch.stragglers);
+    qtest ~count:100 "every proof from the proposal tree verifies against the reduction root"
+      arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let p, d = distilled_of_contents entries stragglers agg_seq in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i e ->
+               Repro_crypto.Merkle.verify (Batch.reduction_root d)
+                 ~leaf:(Batch.leaf ~id:e.Batch.e_id ~seq:agg_seq e.Batch.e_msg)
+                 (Repro_crypto.Merkle.prove p.Batch.p_tree i))
+             entries));
+    qtest ~count:100 "rebuild of a distilled batch recomputes both roots"
+      arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let _, d = distilled_of_contents entries stragglers agg_seq in
+        let es = Array.copy entries in
+        es.(0) <- { (es.(0)) with Batch.e_msg = es.(0).Batch.e_msg ^ "!" };
+        let rebuilt =
+          [ Batch.rebuild d ~agg_seq:(agg_seq + 1);
+            Batch.rebuild d ~entries:(Batch.Explicit es);
+            Batch.rebuild d ~stragglers:[||] ]
+        in
+        List.for_all
+          (fun b -> (Batch.identity_root b, Batch.reduction_root b) = reference_roots b)
+          rebuilt
+        && List.for_all
+             (fun b -> Batch.reduction_root b <> Batch.reduction_root d)
+             (List.filteri (fun i _ -> i < 2) rebuilt)) ]
+
+(* SHA-256 work of the batch constructors, in compression blocks, on a
+   1,024-entry all-straggler batch.  Each leaf hashes in one block (under
+   56 bytes with its domain tag) and each of the 1,023 inner nodes in two
+   (65 bytes), so one Merkle build is 1,024 + 2,046 = 3,070 blocks: the
+   proposal builds the reduction tree, distillation only the identity
+   tree.  A redundant tree build anywhere shows up as another 3,070. *)
+let test_constructor_block_counts () =
+  let n = 1024 and agg_seq = 3 in
+  let entries =
+    Array.init n (fun id -> { Batch.e_id = id; e_msg = Printf.sprintf "msg%05d" id })
+  in
+  let stragglers =
+    Array.map
+      (fun e -> { Batch.s_id = e.Batch.e_id; s_seq = agg_seq - 1; s_sig = Schnorr.forge_garbage () })
+      entries
+  in
+  let blocks f =
+    let before = Repro_crypto.Sha256.blocks () in
+    let r = f () in
+    (r, Repro_crypto.Sha256.blocks () - before)
+  in
+  let p, propose_blocks = blocks (fun () -> Batch.propose ~entries ~agg_seq) in
+  checki "propose: one tree" 3070 propose_blocks;
+  let b, distill_blocks =
+    blocks (fun () -> Batch.distill p ~broker:0 ~number:0 ~stragglers ~agg_sig:None)
+  in
+  checki "distill: identity tree only" 3070 distill_blocks;
+  checki "all stragglers" n (Batch.straggler_count b);
+  let _, explicit_blocks =
+    blocks (fun () ->
+        Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers ~agg_sig:None)
+  in
+  checki "make_explicit: two trees" 6140 explicit_blocks
+
 let suite_batch_props =
   [ qtest ~count:40 "random straggler subsets verify; any corruption fails"
       QCheck.(pair (list_of_size (Gen.int_range 1 12) (int_bound 60)) (int_bound 2))
@@ -877,8 +957,10 @@ let () =
          Alcotest.test_case "dense/explicit equivalence" `Quick test_batch_dense_explicit_equivalence;
          Alcotest.test_case "cost model monotone" `Quick test_batch_costs_monotone;
          Alcotest.test_case "fallback verify cost" `Quick test_fallback_verify_cost;
-         Alcotest.test_case "ceil_log2 boundaries" `Quick test_ceil_log2_boundaries ]
-       @ suite_batch_props @ suite_batch_oracles);
+         Alcotest.test_case "ceil_log2 boundaries" `Quick test_ceil_log2_boundaries;
+         Alcotest.test_case "constructor SHA-256 block counts" `Quick
+           test_constructor_block_counts ]
+       @ suite_batch_props @ suite_batch_oracles @ suite_proposal_oracles);
       ("protocol",
        [ Alcotest.test_case "e2e agreement + no-dup" `Quick test_e2e_agreement_nodup;
          Alcotest.test_case "signup ranks agree" `Quick test_signup_ranks_agree;

@@ -216,6 +216,59 @@ let test_hmac_rfc4231 () =
           ~key:(String.make 131 '\xaa')
           "Test Using Larger Than Block-Size Key - Hash Key First"))
 
+(* One-shot calls share one domain-local context: calls made while a
+   streaming [init] context is live must leave both answers intact. *)
+let test_sha_one_shot_interleaved () =
+  let n = 1000 in
+  let s = String.init n (fun k -> Char.chr (k mod 251)) in
+  let expected = List.assoc n sha_length_vectors in
+  let ctx = Sha256.init () in
+  let one_shots round =
+    List.iter
+      (fun (input, hex) ->
+        check Alcotest.string (Printf.sprintf "digest, round %d" round) hex
+          (Sha256.to_hex (Sha256.digest input)))
+      sha_vectors;
+    let m = (round * 13) mod 131 in
+    check Alcotest.string (Printf.sprintf "digest_list, round %d" round)
+      (List.assoc m sha_length_vectors)
+      (Sha256.to_hex
+         (Sha256.digest_list
+            (List.init m (fun k -> String.make 1 (Char.chr (k mod 251))))));
+    check Alcotest.string (Printf.sprintf "hmac, round %d" round)
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+      (Sha256.to_hex (Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"))
+  in
+  let pos = ref 0 and round = ref 0 in
+  while !pos < n do
+    (* Uneven chunks leave the streaming buffer part-full between calls. *)
+    let len = min (1 + ((!round * 37) mod 90)) (n - !pos) in
+    Sha256.feed ctx (String.sub s !pos len);
+    one_shots !round;
+    pos := !pos + len;
+    incr round
+  done;
+  check Alcotest.string "streamed digest" expected (Sha256.to_hex (Sha256.finalize ctx));
+  one_shots !round
+
+let test_to_hex_all_bytes () =
+  let s = String.init 256 Char.chr in
+  let reference =
+    String.concat "" (List.init 256 (fun b -> Printf.sprintf "%02x" b))
+  in
+  check Alcotest.string "every byte value" reference (Sha256.to_hex s);
+  check Alcotest.string "empty" "" (Sha256.to_hex "")
+
+(* [blocks] counts compression calls: a message of [n] bytes takes
+   [n / 64 + 1] blocks when [n mod 64 < 56], else one more. *)
+let test_sha_blocks () =
+  List.iter
+    (fun (n, want) ->
+      let before = Sha256.blocks () in
+      ignore (Sha256.digest (String.make n 'x'));
+      check Alcotest.int (Printf.sprintf "%d bytes" n) want (Sha256.blocks () - before))
+    [ (0, 1); (55, 1); (56, 2); (64, 2); (119, 2); (120, 3); (1000, 16) ]
+
 (* --- Field61 ------------------------------------------------------------ *)
 
 let test_field_basics () =
@@ -468,7 +521,11 @@ let () =
          Alcotest.test_case "million a" `Slow test_sha_million_a;
          Alcotest.test_case "incremental feeding" `Quick test_sha_incremental;
          Alcotest.test_case "digest_list" `Quick test_sha_digest_list;
-         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231 ]);
+         Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
+         Alcotest.test_case "one-shots between streaming feeds" `Quick
+           test_sha_one_shot_interleaved;
+         Alcotest.test_case "to_hex every byte" `Quick test_to_hex_all_bytes;
+         Alcotest.test_case "block count" `Quick test_sha_blocks ]);
       ("field61",
        Alcotest.test_case "basics" `Quick test_field_basics
        :: Alcotest.test_case "random range" `Quick test_field_random_range
