@@ -195,7 +195,8 @@ let repr_explicit =
 
 (* A batch stores its roots, so each iteration first rebuilds it: both
    sides then pay for the root computation a receiving server performs
-   (two Merkle trees for Explicit, two digests for Dense). *)
+   (one Merkle tree for Explicit, whose identity root is patched from it
+   at no cost since the batch has no straggler; two digests for Dense). *)
 let bench_verify_dense =
   Test.make ~name:"ablation-repr: verify Dense batch (4096, prefix sums)"
     (Staged.stage (fun () ->

@@ -2,6 +2,7 @@ module Schnorr = Repro_crypto.Schnorr
 module Multisig = Repro_crypto.Multisig
 module Merkle = Repro_crypto.Merkle
 module Sha256 = Repro_crypto.Sha256
+module Field61 = Repro_crypto.Field61
 module Cost = Repro_sim.Cost
 module Cpu = Repro_sim.Cpu
 
@@ -24,6 +25,12 @@ type dense = {
 
 type entries = Explicit of entry array | Dense of dense
 
+(* Per straggler (Explicit) or per [straggler_sample] entry (Dense): the
+   public key its signature last verified under, or [unverified]. *)
+type verdicts = int array
+
+let unverified = -1 (* no public key: Field61 elements are non-negative *)
+
 type t = {
   broker : int;
   number : int;
@@ -33,6 +40,7 @@ type t = {
   agg_sig : Multisig.signature option;
   identity_root : string;
   reduction_root : string;
+  verdicts : verdicts;
 }
 
 let count t =
@@ -125,6 +133,23 @@ let sorted_strictly entries =
   done;
   !ok
 
+let for_alli f a =
+  let rec go i = i >= Array.length a || (f i a.(i) && go (i + 1)) in
+  go 0
+
+(* Signature [k] of the batch under [pk].  The statement and signature are
+   fixed at construction, so a signature that verified under this exact
+   key verifies again: [t.verdicts] remembers the key of the last success
+   and skips the Schnorr computation for it.  Failures are not cached. *)
+let verify_signature t k pk ~id ~seq msg sig_ =
+  let key = Field61.to_int pk in
+  t.verdicts.(k) = key
+  || Schnorr.verify pk (Types.message_statement ~id ~seq msg) sig_
+     && begin
+       t.verdicts.(k) <- key;
+       true
+     end
+
 let verify dir t =
   match t.entries with
   | Explicit entries ->
@@ -133,17 +158,16 @@ let verify dir t =
     (* Both arrays are sorted by id: one merge pass pairs every straggler
        with its entry. *)
     let n = Array.length entries and j = ref 0 in
-    Array.for_all
-      (fun s ->
+    for_alli
+      (fun k s ->
         match Directory.find dir s.s_id with
         | None -> false
         | Some card ->
           while !j < n && entries.(!j).e_id < s.s_id do incr j done;
           !j < n
           && entries.(!j).e_id = s.s_id
-          && Schnorr.verify card.Types.sig_pk
-               (Types.message_statement ~id:s.s_id ~seq:s.s_seq entries.(!j).e_msg)
-               s.s_sig)
+          && verify_signature t k card.Types.sig_pk ~id:s.s_id ~seq:s.s_seq
+               entries.(!j).e_msg s.s_sig)
       t.stragglers
     &&
     let reducers = reducer_ids t in
@@ -159,17 +183,15 @@ let verify dir t =
     && d.first_id >= 0
     && d.first_id + d.count <= Directory.dense_count dir
     (* Sample of straggler signatures is genuinely checked. *)
-    && Array.for_all
-         (fun (id, s) ->
+    && for_alli
+         (fun k (id, s) ->
            is_straggler_dense d id
            &&
            match Directory.find dir id with
            | None -> false
            | Some card ->
-             Schnorr.verify card.Types.sig_pk
-               (Types.message_statement ~id ~seq:(dense_straggler_seq d)
-                  (dense_message d id))
-               s)
+             verify_signature t k card.Types.sig_pk ~id ~seq:(dense_straggler_seq d)
+               (dense_message d id) s)
          d.straggler_sample
     &&
     let reduced = d.count - d.straggler_count in
@@ -226,12 +248,20 @@ let distill p ~broker ~number ~stragglers ~agg_sig =
       match Int.compare a.s_id b.s_id with 0 -> Int.compare a.s_seq b.s_seq | c -> c)
     stragglers;
   let entries = p.p_entries and agg_seq = p.p_agg_seq in
-  let identity_root =
-    Merkle.root
-      (explicit_tree ~seqs:(resolve_seqs entries stragglers ~agg_seq) entries)
-  in
+  (* The identity tree is the reduction tree with each straggler's leaf at
+     its own sequence number: patch only the leaves that differ. *)
+  let index = straggler_index entries stragglers in
+  let changed = ref [] in
+  for i = Array.length entries - 1 downto 0 do
+    let k = index.(i) in
+    if k >= 0 && stragglers.(k).s_seq <> agg_seq then
+      changed := (i, leaf ~id:entries.(i).e_id ~seq:stragglers.(k).s_seq entries.(i).e_msg)
+                 :: !changed
+  done;
   { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
-    identity_root; reduction_root = Merkle.root p.p_tree }
+    identity_root = Merkle.root_with p.p_tree !changed;
+    reduction_root = Merkle.root p.p_tree;
+    verdicts = Array.make (Array.length stragglers) unverified }
 
 let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
   distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker ~number ~stragglers
@@ -240,7 +270,8 @@ let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
 let dense ~broker ~number d ~agg_seq ~stragglers ~agg_sig =
   { broker; number; entries = Dense d; agg_seq; stragglers; agg_sig;
     identity_root = dense_root "identity" d agg_seq;
-    reduction_root = dense_root "reduction" d agg_seq }
+    reduction_root = dense_root "reduction" d agg_seq;
+    verdicts = Array.make (Array.length d.straggler_sample) unverified }
 
 let rebuild ?number ?entries ?agg_seq ?stragglers ?agg_sig t =
   let number = Option.value number ~default:t.number in

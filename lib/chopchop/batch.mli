@@ -30,7 +30,8 @@
     {!make_explicit}, {!forge_dense} and {!rebuild} are the only ways to
     obtain one, so a stored root always matches the record's contents.
     A changed batch (a renumbered or tampered copy) must be derived with
-    {!rebuild}, which re-runs the constructor.  Entry and straggler arrays
+    {!rebuild}, which re-runs the constructor and so also starts with an
+    empty verdict cache (see {!verify}).  Entry and straggler arrays
     reachable from a batch are read-only: the constructors copy them
     ({!propose} takes its entries over instead), and nothing may mutate
     them afterwards. *)
@@ -58,6 +59,9 @@ type entries =
   | Explicit of entry array (* sorted by id, distinct *)
   | Dense of dense
 
+type verdicts
+(** The signature-verdict cache of {!verify}; see there. *)
+
 type t = private {
   broker : int;
   number : int; (* broker-local batch number *)
@@ -68,6 +72,7 @@ type t = private {
   agg_sig : Repro_crypto.Multisig.signature option;
   identity_root : string;
   reduction_root : string;
+  verdicts : verdicts; (* empty at construction; written only by [verify] *)
 }
 
 val count : t -> int
@@ -105,7 +110,21 @@ val verify : Directory.t -> t -> bool
 (** Full well-formedness check, as performed by a witnessing server (#9):
     identifiers strictly increasing (hence distinct), every straggler's
     individual signature valid, and the aggregate multi-signature valid
-    over the reduction root for exactly the reduced identities. *)
+    over the reduction root for exactly the reduced identities.
+
+    Every witness of a batch runs in this one process on the same
+    immutable record, so the batch carries a verdict cache: one slot per
+    straggler (per [straggler_sample] entry on a dense batch) holding the
+    public key its signature last verified under.  A slot is written only
+    when a signature verifies, and every constructor ({!distill},
+    {!make_explicit}, {!rebuild}, {!forge_dense}) starts it empty.  Each
+    call still looks every straggler up in [dir], matches it to its entry
+    and checks sortedness and the aggregate multi-signature; it skips the
+    Schnorr computation only when the key [dir] returns equals the cached
+    one, and always recomputes a failing signature.  The cache never
+    changes what [verify] returns, only how many {!Repro_crypto.Schnorr}
+    verifications run; the simulated charge is {!witness_cpu_work} either
+    way. *)
 
 val witness_cpu_work : t -> Repro_sim.Cpu.work
 (** Simulated CPU work of {!verify} on a server, from {!Repro_sim.Cost}:
@@ -146,10 +165,14 @@ val distill :
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
 (** The batch of the proposal's entries with the given stragglers and
-    aggregate signature.  Copies and sorts [stragglers], pairs each entry
-    with its first straggler in one merge pass and builds only the
-    identity tree; the reduction root is the proposal's.  The batch shares
-    the proposal's (read-only) entry array and keeps no tree. *)
+    aggregate signature.  Copies and sorts [stragglers] and pairs each
+    entry with its first straggler in one merge pass.  The reduction root
+    is the proposal's; the identity root is the proposal tree patched with
+    {!Repro_crypto.Merkle.root_with} at the entries whose straggler
+    carries a sequence number other than the aggregate one, so a batch
+    whose stragglers all carry it (a classic batch) hashes nothing.  The
+    batch shares the proposal's (read-only) entry array and keeps no
+    tree. *)
 
 val make_explicit :
   broker:int ->
@@ -160,8 +183,8 @@ val make_explicit :
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
 (** [distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker
-    ~number ~stragglers ~agg_sig]: two Merkle builds, and the caller keeps
-    its array.
+    ~number ~stragglers ~agg_sig]: one Merkle build plus the identity
+    patch, and the caller keeps its array.
     @raise Invalid_argument as {!propose}. *)
 
 val rebuild :

@@ -62,8 +62,9 @@ let inv a =
 let div a b = mul a (inv b)
 
 let of_bytes s =
-  (* Fold 8-byte little-endian words of the input into the accumulator with
-     a multiplicative mix so that every byte influences the result. *)
+  (* Fold 7-byte little-endian words of the input (each below 2^56, so it
+     fits a native int) into the accumulator with a multiplicative mix so
+     that every byte influences the result. *)
   let n = String.length s in
   let acc = ref 0 in
   let word = ref 0 in

@@ -33,6 +33,51 @@ let root t =
 
 let leaf_count t = Array.length t.levels.(0)
 
+let root_with t changes =
+  match changes with
+  | [] -> root t
+  | _ ->
+    let n = leaf_count t and k = List.length changes in
+    (* [idx]/[hs]: the changed nodes of the current level, sorted by index,
+       with their new hashes.  Each level's parents overwrite the prefix
+       of the two arrays: a parent is written only after its children
+       have been read. *)
+    let idx = Array.make k 0 and hs = Array.make k "" in
+    List.iteri
+      (fun j (i, leaf) ->
+        if i < 0 || i >= n || (j > 0 && i <= idx.(j - 1)) then
+          invalid_arg "Merkle.root_with: indices out of range or not increasing";
+        idx.(j) <- i;
+        hs.(j) <- hash_leaf leaf)
+      changes;
+    let m = ref k in
+    for l = 0 to Array.length t.levels - 2 do
+      let level = t.levels.(l) in
+      let src = ref 0 and dst = ref 0 in
+      let child i =
+        if !src < !m && idx.(!src) = i then begin
+          let h = hs.(!src) in
+          incr src;
+          h
+        end
+        else level.(i)
+      in
+      while !src < !m do
+        let p = idx.(!src) / 2 in
+        let left = child (2 * p) in
+        (* A promoted odd node has no right sibling and no hash. *)
+        let parent =
+          if (2 * p) + 1 < Array.length level then hash_node left (child ((2 * p) + 1))
+          else left
+        in
+        idx.(!dst) <- p;
+        hs.(!dst) <- parent;
+        incr dst
+      done;
+      m := !dst
+    done;
+    hs.(0)
+
 let prove t index =
   if index < 0 || index >= leaf_count t then invalid_arg "Merkle.prove: index out of range";
   let path = ref [] in

@@ -21,6 +21,15 @@ val build : string array -> t
 val root : t -> root
 val leaf_count : t -> int
 
+val root_with : t -> (int * string) list -> root
+(** [root_with t changes] is the root of the tree over [t]'s leaves with
+    leaf [i] replaced by [leaf] for each [(i, leaf)] in [changes], i.e.
+    [root (build replaced)], without building it: only the replaced
+    leaves and their ancestors are hashed, so [root_with t []] hashes
+    nothing.  [t] is not modified.
+    @raise Invalid_argument unless the indices are strictly increasing
+    and within [0, leaf_count t). *)
+
 val prove : t -> int -> proof
 (** [prove t i] is the inclusion proof for leaf [i].
     @raise Invalid_argument if [i] is out of range. *)

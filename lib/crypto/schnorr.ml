@@ -33,8 +33,14 @@ let sign sk msg =
   let s = Field61.add k (Field61.mul e sk) in
   { r; s }
 
+(* Individual verifications run on this domain. *)
+let verify_count = Domain.DLS.new_key (fun () -> ref 0)
+
+let verifies () = !(Domain.DLS.get verify_count)
+
 (* Verification equation: s*G = R + e*pk  (additive Schnorr). *)
 let verify pk msg { r; s } =
+  incr (Domain.DLS.get verify_count);
   let e = challenge ~r ~pk msg in
   Field61.equal (scale s) (Field61.add r (Field61.mul e pk))
 

@@ -33,6 +33,12 @@ val sign : secret_key -> string -> signature
 
 val verify : public_key -> string -> signature -> bool
 
+val verifies : unit -> int
+(** {!verify} calls made so far on the calling domain ({!batch_verify}
+    is not counted).  A deterministic work count, like
+    {!Sha256.blocks}: the difference across a computation is the number
+    of individual verifications it actually ran. *)
+
 val batch_verify : (public_key * string * signature) list -> bool
 (** Random-linear-combination batch verification: a single aggregate check
     accepts iff (with overwhelming probability) every individual signature

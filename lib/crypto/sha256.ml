@@ -1,7 +1,8 @@
 (* SHA-256 on native ints: 32-bit words live in the low bits of an int.
    Sums are masked when they are stored back into a word; rotations are
    left unmasked and each sigma masks its xor once, since the garbage
-   bits above bit 31 never reach the low 32. *)
+   bits above bit 31 never reach the low 32.  Each sigma duplicates its
+   word once ({!dup}) and takes every rotation as one shift of it. *)
 
 let mask = 0xFFFF_FFFF
 
@@ -56,7 +57,13 @@ let load_be32 b i =
   let v = get32u b i in
   Int32.to_int (if big_endian () then v else bswap32 v) land mask
 
-let rotr x n = (x lsr n) lor (x lsl (32 - n))
+(* [dup x] holds the 32-bit word [x] twice, at bits 0..31 and 32..63, so
+   for 0 < n < 32 bits 0..31 of [dup x lsr n] are [x] rotated right by
+   [n].  A native int has 63 bits, so the copy of x's bit 31 that belongs
+   at bit 63 is lost; a shift by [n] would have moved it to bit 63 - n,
+   which is above bit 31 for every n < 32, in the garbage the sigma's mask
+   removes.  Bits 0..31 need only bits n..n + 31 <= 62. *)
+let dup x = x lor (x lsl 32)
 
 let compress ctx block off =
   if off < 0 || off + 64 > Bytes.length block then invalid_arg "Sha256.compress";
@@ -67,8 +74,9 @@ let compress ctx block off =
   done;
   for i = 16 to 63 do
     let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = (rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3)) land mask in
-    let s1 = (rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10)) land mask in
+    let y15 = dup w15 and y2 = dup w2 in
+    let s0 = ((y15 lsr 7) lxor (y15 lsr 18) lxor (w15 lsr 3)) land mask in
+    let s1 = ((y2 lsr 17) lxor (y2 lsr 19) lxor (w2 lsr 10)) land mask in
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
@@ -77,10 +85,11 @@ let compress ctx block off =
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
     let e' = !e and a' = !a in
-    let s1 = (rotr e' 6 lxor rotr e' 11 lxor rotr e' 25) land mask in
+    let ye = dup e' and ya = dup a' in
+    let s1 = ((ye lsr 6) lxor (ye lsr 11) lxor (ye lsr 25)) land mask in
     let ch = !g lxor (e' land (!f lxor !g)) in
     let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 = (rotr a' 2 lxor rotr a' 13 lxor rotr a' 22) land mask in
+    let s0 = ((ya lsr 2) lxor (ya lsr 13) lxor (ya lsr 22)) land mask in
     let maj = (a' land !b) lor (!c land (a' lor !b)) in
     hh := !g; g := !f; f := e';
     e := (!d + t1) land mask;

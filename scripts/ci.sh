@@ -33,6 +33,17 @@ dune build @all
 stage "dune runtest"
 dune runtest
 
+stage "simbench classic round: correctness and delivery digest"
+# One cold round of the real-message workload (pre-signed submissions,
+# all-straggler batches): it must pass its own checks and deliver the
+# pinned digest, so a host-time optimisation of the batch/crypto path
+# cannot change what is delivered.
+simbench_out=$(dune exec simbench/simbench.exe -- round --workload classic --seed 7)
+echo "$simbench_out" | grep -q '"correct":true' \
+  || { echo "simbench round: correctness checks failed"; exit 1; }
+echo "$simbench_out" | grep -q '"digest":"2f9df9b8c0c879e1:18243:19"' \
+  || { echo "simbench round: classic seed 7 delivery digest changed"; exit 1; }
+
 stage "chaos fault-injection smoke"
 dune exec bin/main.exe -- chaos --scenario kitchen-sink --scale quick
 

@@ -860,14 +860,21 @@ let suite_proposal_oracles =
           rebuilt
         && List.for_all
              (fun b -> Batch.reduction_root b <> Batch.reduction_root d)
-             (List.filteri (fun i _ -> i < 2) rebuilt)) ]
+             (List.filteri (fun i _ -> i < 2) rebuilt));
+    qtest ~count:200 "identity root is the root of identity_tree" arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let _, d = distilled_of_contents entries stragglers agg_seq in
+        Batch.identity_root d = Repro_crypto.Merkle.root (Batch.identity_tree d)) ]
 
 (* SHA-256 work of the batch constructors, in compression blocks, on a
    1,024-entry all-straggler batch.  Each leaf hashes in one block (under
    56 bytes with its domain tag) and each of the 1,023 inner nodes in two
    (65 bytes), so one Merkle build is 1,024 + 2,046 = 3,070 blocks: the
-   proposal builds the reduction tree, distillation only the identity
-   tree.  A redundant tree build anywhere shows up as another 3,070. *)
+   proposal builds the reduction tree, distillation patches it into the
+   identity tree.  With every straggler at another sequence number the
+   patch re-hashes every leaf and node, the cost of a build; with every
+   straggler at [agg_seq] (a classic batch) it hashes nothing.  A
+   redundant tree build anywhere shows up as another 3,070. *)
 let test_constructor_block_counts () =
   let n = 1024 and agg_seq = 3 in
   let entries =
@@ -894,7 +901,121 @@ let test_constructor_block_counts () =
     blocks (fun () ->
         Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers ~agg_sig:None)
   in
-  checki "make_explicit: two trees" 6140 explicit_blocks
+  checki "make_explicit: a tree and a full patch" 6140 explicit_blocks;
+  (* [moved] stragglers at agg_seq - 1, the rest at agg_seq: one block per
+     moved leaf plus two per distinct ancestor.  Leaf 0 has 10 ancestors
+     (1 + 20 blocks); leaves 0, 1 and 1,023 have 2 at each of levels 1-9
+     and share the root, 19 in all (3 + 38 blocks). *)
+  List.iter
+    (fun (moved, want) ->
+      let stragglers =
+        Array.mapi
+          (fun i s -> if List.mem i moved then s else { s with Batch.s_seq = agg_seq })
+          stragglers
+      in
+      let _, distill_blocks =
+        blocks (fun () -> Batch.distill p ~broker:0 ~number:0 ~stragglers ~agg_sig:None)
+      in
+      checki
+        (Printf.sprintf "distill: %d stragglers off agg_seq" (List.length moved))
+        want distill_blocks)
+    [ ([], 0); ([ 0 ], 21); ([ 0; 1; 1023 ], 41) ]
+
+(* --- Verdict cache -------------------------------------------------------- *)
+
+(* A classic-shape batch: [n] dense clients, every entry a straggler
+   signed at the aggregate sequence number, no aggregate signature. *)
+let classic_batch n ~agg_seq =
+  let entries =
+    Array.init n (fun id -> { Batch.e_id = id; e_msg = Printf.sprintf "m%d" id })
+  in
+  let stragglers =
+    Array.map
+      (fun e ->
+        let id = e.Batch.e_id in
+        { Batch.s_id = id; s_seq = agg_seq;
+          s_sig =
+            Schnorr.sign (Directory.dense_keypair id).sig_sk
+              (Types.message_statement ~id ~seq:agg_seq e.Batch.e_msg) })
+      entries
+  in
+  Batch.make_explicit ~broker:0 ~number:0 ~entries ~agg_seq ~stragglers ~agg_sig:None
+
+(* [f ()] with the Schnorr verifications and SHA-256 blocks it ran. *)
+let counting f =
+  let v0 = Schnorr.verifies () and b0 = Repro_crypto.Sha256.blocks () in
+  let r = f () in
+  (r, Schnorr.verifies () - v0, Repro_crypto.Sha256.blocks () - b0)
+
+let garble (s : Batch.straggler) = { s with Batch.s_sig = Schnorr.forge_garbage () }
+
+(* Three witnesses, each with its own directory, check one batch: each
+   straggler signature is verified once, by the first. *)
+let test_verdicts_shared_by_witnesses () =
+  let n = 1024 in
+  let b = classic_batch n ~agg_seq:2 in
+  let dirs = List.init 3 (fun _ -> Directory.create ~dense_count:n ()) in
+  let runs = List.map (fun dir -> counting (fun () -> Batch.verify dir b)) dirs in
+  checkb "every witness accepts" true (List.for_all (fun (ok, _, _) -> ok) runs);
+  checki "one verification per straggler in all" n
+    (List.fold_left (fun acc (_, v, _) -> acc + v) 0 runs);
+  List.iteri
+    (fun i (_, _, blocks) ->
+      if i > 0 then checki (Printf.sprintf "witness %d hashes nothing" i) 0 blocks)
+    runs
+
+(* The cache never changes a verdict: a different key for one straggler,
+   a rebuilt copy with a garbled signature or a tampered entry, and a
+   failing signature checked again are all judged afresh. *)
+let test_verdicts_exact () =
+  let n = 8 in
+  let b = classic_batch n ~agg_seq:0 in
+  let dir = Directory.create ~dense_count:n () in
+  checkb "accepted" true (Batch.verify dir b);
+  (* The same ids, but the card of client [n - 1] holds another key. *)
+  let other = Directory.create ~dense_count:(n - 1) () in
+  checki "impostor id" (n - 1)
+    (Directory.append other (Types.keypair_of_seed "impostor").card);
+  let ok, verifies, _ = counting (fun () -> Batch.verify other b) in
+  checkb "another key for one straggler: rejected" false ok;
+  checki "only that straggler is re-verified" 1 verifies;
+  checkb "the original directory still accepts" true (Batch.verify dir b);
+  let ss = Array.copy b.Batch.stragglers in
+  ss.(3) <- garble ss.(3);
+  checkb "rebuilt copy with a garbled signature: rejected" false
+    (Batch.verify dir (Batch.rebuild b ~stragglers:ss));
+  let es = match b.Batch.entries with Batch.Explicit es -> Array.copy es | _ -> assert false in
+  es.(5) <- { (es.(5)) with Batch.e_msg = "tampered" };
+  checkb "rebuilt copy with a tampered entry: rejected" false
+    (Batch.verify dir (Batch.rebuild b ~entries:(Batch.Explicit es)));
+  checkb "the original is still accepted" true (Batch.verify dir b);
+  let ss = Array.copy b.Batch.stragglers in
+  ss.(n - 1) <- garble ss.(n - 1);
+  let bad = Batch.rebuild b ~stragglers:ss in
+  let ok1, v1, _ = counting (fun () -> Batch.verify dir bad) in
+  let ok2, v2, _ = counting (fun () -> Batch.verify dir bad) in
+  checkb "failing batch rejected" false ok1;
+  checkb "failing batch rejected again" false ok2;
+  checki "first check verifies every straggler" n v1;
+  checki "second check re-runs the failing verification" 1 v2
+
+let test_verdicts_dense_sample () =
+  let dir = Directory.create ~dense_count:100 () in
+  let b =
+    Batch.forge_dense dir ~broker:0 ~number:0 ~first_id:0 ~count:50 ~msg_bytes:8 ~tag:1
+      ~straggler_count:20
+  in
+  let d = match b.Batch.entries with Batch.Dense d -> d | _ -> assert false in
+  let sample = Array.length d.Batch.straggler_sample in
+  let runs = List.init 2 (fun _ -> counting (fun () -> Batch.verify dir b)) in
+  checkb "accepted twice" true (List.for_all (fun (ok, _, _) -> ok) runs);
+  checki "sample verified once" sample
+    (List.fold_left (fun acc (_, v, _) -> acc + v) 0 runs);
+  let garbled = Array.copy d.Batch.straggler_sample in
+  garbled.(0) <- (fst garbled.(0), Schnorr.forge_garbage ());
+  checkb "rebuilt copy with a garbled sample signature: rejected" false
+    (Batch.verify dir
+       (Batch.rebuild b ~entries:(Batch.Dense { d with Batch.straggler_sample = garbled })))
 
 let suite_batch_props =
   [ qtest ~count:40 "random straggler subsets verify; any corruption fails"
@@ -959,7 +1080,11 @@ let () =
          Alcotest.test_case "fallback verify cost" `Quick test_fallback_verify_cost;
          Alcotest.test_case "ceil_log2 boundaries" `Quick test_ceil_log2_boundaries;
          Alcotest.test_case "constructor SHA-256 block counts" `Quick
-           test_constructor_block_counts ]
+           test_constructor_block_counts;
+         Alcotest.test_case "verdicts shared by witnesses" `Quick
+           test_verdicts_shared_by_witnesses;
+         Alcotest.test_case "verdicts exact" `Quick test_verdicts_exact;
+         Alcotest.test_case "verdicts on a dense sample" `Quick test_verdicts_dense_sample ]
        @ suite_batch_props @ suite_batch_oracles @ suite_proposal_oracles);
       ("protocol",
        [ Alcotest.test_case "e2e agreement + no-dup" `Quick test_e2e_agreement_nodup;

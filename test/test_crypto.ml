@@ -498,8 +498,69 @@ let test_merkle_proof_size () =
   Alcotest.(check int) "depth 16 for 65,536 leaves" 16 (Merkle.proof_length proof);
   Alcotest.(check int) "wire size" ((16 * 32) + 8) (Merkle.proof_size_bytes proof)
 
+(* [root_with] hashes only the replaced leaves and their ancestors, and a
+   promoted node costs nothing.  Over 5 leaves (levels of 5, 3, 2 and 1
+   nodes) leaf 4 is promoted twice, so replacing it costs its leaf hash
+   (1 block) and the root's (65 bytes, 2 blocks). *)
+let test_merkle_root_with () =
+  let leaves = Array.init 5 (Printf.sprintf "L%d") in
+  let t = Merkle.build leaves in
+  let blocks f =
+    let before = Sha256.blocks () in
+    let r = f () in
+    (r, Sha256.blocks () - before)
+  in
+  let r, b = blocks (fun () -> Merkle.root_with t []) in
+  checkb "no change: the stored root" true (Merkle.root_equal r (Merkle.root t));
+  Alcotest.(check int) "no change: no hashing" 0 b;
+  let r, b = blocks (fun () -> Merkle.root_with t [ (4, "x") ]) in
+  let replaced = Array.copy leaves in
+  replaced.(4) <- "x";
+  checkb "promoted leaf" true (Merkle.root_equal r (Merkle.root (Merkle.build replaced)));
+  Alcotest.(check int) "promoted leaf: leaf and root hashes" 3 b;
+  List.iter
+    (fun changes ->
+      Alcotest.check_raises "bad indices"
+        (Invalid_argument "Merkle.root_with: indices out of range or not increasing")
+        (fun () -> ignore (Merkle.root_with t changes)))
+    [ [ (5, "x") ]; [ (-1, "x") ]; [ (2, "x"); (1, "y") ]; [ (3, "x"); (3, "y") ] ]
+
+(* A leaf vector of 1-300 leaves and a set of replacements: none, every
+   leaf, a sparse random subset or a dense one. *)
+let arb_replacements =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 300 in
+    let* mode = int_bound 3 in
+    let* picked =
+      match mode with
+      | 0 -> return []
+      | 1 -> return (List.init n Fun.id)
+      | 2 -> map (List.sort_uniq compare) (list_size (int_range 1 8) (int_bound (n - 1)))
+      | _ ->
+        map
+          (fun keep -> List.concat (List.mapi (fun i k -> if k then [ i ] else []) keep))
+          (list_repeat n bool)
+    in
+    let* tag = string_size ~gen:printable (int_range 1 6) in
+    return (n, List.map (fun i -> (i, Printf.sprintf "%s%d" tag i)) picked)
+  in
+  let print (n, changes) =
+    Printf.sprintf "n=%d changes=[%s]" n
+      (String.concat ";" (List.map (fun (i, l) -> Printf.sprintf "%d:%S" i l) changes))
+  in
+  QCheck.make ~print gen
+
 let suite_merkle_props =
-  [ qtest ~count:100 "random trees: every proof verifies, flipped leaf changes root"
+  [ qtest ~count:300 "root_with equals the root of the rebuilt tree" arb_replacements
+      (fun (n, changes) ->
+        let leaves = Array.init n (Printf.sprintf "leaf%d") in
+        let replaced = Array.copy leaves in
+        List.iter (fun (i, l) -> replaced.(i) <- l) changes;
+        Merkle.root_equal
+          (Merkle.root_with (Merkle.build leaves) changes)
+          (Merkle.root (Merkle.build replaced)));
+    qtest ~count:100 "random trees: every proof verifies, flipped leaf changes root"
       QCheck.(list_of_size (Gen.int_range 2 40) small_string)
       (fun leaves ->
         let arr = Array.of_list leaves in
@@ -550,4 +611,5 @@ let () =
        :: Alcotest.test_case "out of range" `Quick test_merkle_out_of_range
        :: Alcotest.test_case "domain separation" `Quick test_merkle_distinct_roots
        :: Alcotest.test_case "proof size" `Quick test_merkle_proof_size
+       :: Alcotest.test_case "root_with" `Quick test_merkle_root_with
        :: suite_merkle_props) ]
