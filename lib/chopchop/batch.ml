@@ -59,7 +59,7 @@ let dense_message d id =
   let rec pad s = if String.length s >= d.msg_bytes then String.sub s 0 d.msg_bytes else pad (s ^ s) in
   pad base
 
-let leaf ~id ~seq msg = Printf.sprintf "%d|%d|%s" id seq msg
+let leaf ~id ~seq msg = String.concat "|" [ string_of_int id; string_of_int seq; msg ]
 
 let dense_straggler_seq d = d.tag
 (* Dense stragglers carry their own per-round sequence number (the round
@@ -258,14 +258,17 @@ let distill p ~broker ~number ~stragglers ~agg_sig =
       changed := (i, leaf ~id:entries.(i).e_id ~seq:stragglers.(k).s_seq entries.(i).e_msg)
                  :: !changed
   done;
-  { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
-    identity_root = Merkle.root_with p.p_tree !changed;
-    reduction_root = Merkle.root p.p_tree;
-    verdicts = Array.make (Array.length stragglers) unverified }
+  let tree = Merkle.patch p.p_tree !changed in
+  ( { broker; number; entries = Explicit entries; agg_seq; stragglers; agg_sig;
+      identity_root = Merkle.root tree;
+      reduction_root = Merkle.root p.p_tree;
+      verdicts = Array.make (Array.length stragglers) unverified },
+    tree )
 
 let make_explicit ~broker ~number ~entries ~agg_seq ~stragglers ~agg_sig =
-  distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker ~number ~stragglers
-    ~agg_sig
+  fst
+    (distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker ~number ~stragglers
+       ~agg_sig)
 
 let dense ~broker ~number d ~agg_seq ~stragglers ~agg_sig =
   { broker; number; entries = Dense d; agg_seq; stragglers; agg_sig;

@@ -95,7 +95,8 @@ val entry_seqs : t -> Types.sequence_number array
 
 val identity_tree : t -> Repro_crypto.Merkle.t
 (** The Merkle tree whose root is {!identity_root}, rebuilt on each call
-    (for inclusion proofs).  @raise Invalid_argument on a dense batch. *)
+    (for inclusion proofs of a batch that {!distill} did not return a
+    tree for).  @raise Invalid_argument on a dense batch. *)
 
 val reducer_ids : t -> Types.client_id list
 (** Explicit batches only; Dense reducers are the leading range. *)
@@ -163,16 +164,21 @@ val distill :
   number:int ->
   stragglers:straggler array ->
   agg_sig:Repro_crypto.Multisig.signature option ->
-  t
+  t * Repro_crypto.Merkle.t
 (** The batch of the proposal's entries with the given stragglers and
-    aggregate signature.  Copies and sorts [stragglers] and pairs each
-    entry with its first straggler in one merge pass.  The reduction root
-    is the proposal's; the identity root is the proposal tree patched with
-    {!Repro_crypto.Merkle.root_with} at the entries whose straggler
-    carries a sequence number other than the aggregate one, so a batch
-    whose stragglers all carry it (a classic batch) hashes nothing.  The
-    batch shares the proposal's (read-only) entry array and keeps no
-    tree. *)
+    aggregate signature, and its identity tree.  Copies and sorts
+    [stragglers] and pairs each entry with its first straggler in one
+    merge pass.  The reduction root is the proposal's.  The identity tree
+    is the proposal tree patched with {!Repro_crypto.Merkle.patch} at the
+    entries whose straggler carries a sequence number other than the
+    aggregate one, so for a batch whose stragglers all carry it (a
+    classic batch) it is [p_tree] itself and nothing is hashed.  The
+    batch shares the proposal's (read-only) entry array.
+
+    The batch keeps no tree (servers keep batches): the broker holds the
+    returned tree in the batch's flight record, from launch until the
+    delivery certificates are sent, and proves every client's inclusion
+    in the identity root from it. *)
 
 val make_explicit :
   broker:int ->
@@ -182,9 +188,9 @@ val make_explicit :
   stragglers:straggler array ->
   agg_sig:Repro_crypto.Multisig.signature option ->
   t
-(** [distill (propose ~entries:(Array.copy entries) ~agg_seq) ~broker
-    ~number ~stragglers ~agg_sig]: one Merkle build plus the identity
-    patch, and the caller keeps its array.
+(** The batch of [distill (propose ~entries:(Array.copy entries) ~agg_seq)
+    ~broker ~number ~stragglers ~agg_sig]: one Merkle build plus the
+    identity patch, and the caller keeps its array.
     @raise Invalid_argument as {!propose}. *)
 
 val rebuild :

@@ -43,6 +43,8 @@ type reducing = {
 type in_flight = {
   w_batch : Batch.t;
   w_root : string; (* identity root *)
+  w_tree : Merkle.t Lazy.t;
+      (* identity tree, for the delivery certificates' inclusion proofs *)
   w_reduction_root : string;
   w_base : int; (* witness-set rotation offset (batch number mod n) *)
   mutable w_shards : (int * Multisig.signature) list;
@@ -432,7 +434,7 @@ and distill_done t st root valid_shares =
       in
       let number = t.number in
       t.number <- number + 1;
-      let batch =
+      let batch, tree =
         Batch.distill st.r_proposal ~broker:t.cfg.broker_id ~number ~stragglers ~agg_sig
       in
       (let s = tr t in
@@ -452,7 +454,10 @@ and distill_done t st root valid_shares =
           else batch
         in
         let batch = if t.mis_malform then malform batch else batch in
-        launch t batch ~on_complete:None
+        (* Only the batch [distill] built comes with its tree; a tampered
+           copy gets one from [Batch.identity_tree] if it ever completes. *)
+        let tree = if t.mis_garble || t.mis_malform then None else Some tree in
+        launch t batch ?tree ~on_complete:None
       end
     end
 
@@ -498,7 +503,7 @@ and launch_equivocal t st number =
 
 (* --- dissemination & witnessing (#8–#12) --------------------------------- *)
 
-and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete =
+and launch ?(only = fun _ -> true) ?(force_witness = false) ?tree t batch ~on_complete =
   t.entries_launched <- t.entries_launched + Batch.count batch;
   t.stragglers_launched <- t.stragglers_launched + Batch.straggler_count batch;
   let root = Batch.identity_root batch in
@@ -508,6 +513,10 @@ and launch ?(only = fun _ -> true) ?(force_witness = false) t batch ~on_complete
   let n_act = max 1 (List.length active) in
   let fl =
     { w_batch = batch; w_root = root;
+      w_tree =
+        (match tree with
+         | Some tree -> Lazy.from_val tree
+         | None -> lazy (Batch.identity_tree batch));
       w_reduction_root = Batch.reduction_root batch;
       w_base =
         (* Hash-spread, not plain [number mod n]: many brokers start their
@@ -692,7 +701,7 @@ and finish t fl ~counter ~exceptions shards =
         batch, with its inclusion proof in the identity root. *)
      (match fl.w_batch.Batch.entries with
       | Batch.Explicit entries ->
-        let tree = Batch.identity_tree fl.w_batch in
+        let tree = Lazy.force fl.w_tree in
         let seqs = Batch.entry_seqs fl.w_batch in
         Array.iteri
           (fun i e ->

@@ -4,14 +4,18 @@ module Sha256 = Repro_crypto.Sha256
 type quorum_cert = { signers : int list; agg : Multisig.signature }
 
 let witness_statement ~root ~broker ~number =
-  Printf.sprintf "witness|%s|%d|%d" (Sha256.to_hex root) broker number
+  String.concat "|"
+    [ "witness"; Sha256.to_hex root; string_of_int broker; string_of_int number ]
 
 let completion_statement ~root ~counter ~exc_hash =
-  Printf.sprintf "completion|%s|%d|%s" (Sha256.to_hex root) counter (Sha256.to_hex exc_hash)
+  String.concat "|"
+    [ "completion"; Sha256.to_hex root; string_of_int counter; Sha256.to_hex exc_hash ]
 
 let exceptions_hash exceptions =
   Sha256.digest_list
-    (List.map (fun (id, seq) -> Printf.sprintf "%d:%d;" id seq) exceptions)
+    (List.map
+       (fun (id, seq) -> String.concat "" [ string_of_int id; ":"; string_of_int seq; ";" ])
+       exceptions)
 
 let sign_shard sk statement = Multisig.sign sk statement
 

@@ -33,50 +33,44 @@ let root t =
 
 let leaf_count t = Array.length t.levels.(0)
 
-let root_with t changes =
+let patch t changes =
   match changes with
-  | [] -> root t
+  | [] -> t
   | _ ->
-    let n = leaf_count t and k = List.length changes in
-    (* [idx]/[hs]: the changed nodes of the current level, sorted by index,
-       with their new hashes.  Each level's parents overwrite the prefix
-       of the two arrays: a parent is written only after its children
-       have been read. *)
-    let idx = Array.make k 0 and hs = Array.make k "" in
+    let n = leaf_count t in
+    let levels = Array.map Array.copy t.levels in
+    (* [idx.(0 .. !m - 1)]: the changed nodes of the current level, in
+       increasing order.  Each level's parents overwrite the prefix of
+       [idx]; a parent index is written only after its children's have
+       been read. *)
+    let idx = Array.make (List.length changes) 0 in
     List.iteri
       (fun j (i, leaf) ->
         if i < 0 || i >= n || (j > 0 && i <= idx.(j - 1)) then
-          invalid_arg "Merkle.root_with: indices out of range or not increasing";
+          invalid_arg "Merkle.patch: indices out of range or not increasing";
         idx.(j) <- i;
-        hs.(j) <- hash_leaf leaf)
+        levels.(0).(i) <- hash_leaf leaf)
       changes;
-    let m = ref k in
-    for l = 0 to Array.length t.levels - 2 do
-      let level = t.levels.(l) in
-      let src = ref 0 and dst = ref 0 in
-      let child i =
-        if !src < !m && idx.(!src) = i then begin
-          let h = hs.(!src) in
-          incr src;
-          h
+    let m = ref (Array.length idx) in
+    for l = 0 to Array.length levels - 2 do
+      let level = levels.(l) and parent = levels.(l + 1) in
+      let dst = ref 0 in
+      for src = 0 to !m - 1 do
+        let p = idx.(src) / 2 in
+        (* Siblings share a parent: hash it once. *)
+        if !dst = 0 || idx.(!dst - 1) <> p then begin
+          (* A promoted odd node has no right sibling and no hash. *)
+          parent.(p) <-
+            (if (2 * p) + 1 < Array.length level then
+               hash_node level.(2 * p) level.((2 * p) + 1)
+             else level.(2 * p));
+          idx.(!dst) <- p;
+          incr dst
         end
-        else level.(i)
-      in
-      while !src < !m do
-        let p = idx.(!src) / 2 in
-        let left = child (2 * p) in
-        (* A promoted odd node has no right sibling and no hash. *)
-        let parent =
-          if (2 * p) + 1 < Array.length level then hash_node left (child ((2 * p) + 1))
-          else left
-        in
-        idx.(!dst) <- p;
-        hs.(!dst) <- parent;
-        incr dst
       done;
       m := !dst
     done;
-    hs.(0)
+    { levels }
 
 let prove t index =
   if index < 0 || index >= leaf_count t then invalid_arg "Merkle.prove: index out of range";

@@ -21,12 +21,13 @@ val build : string array -> t
 val root : t -> root
 val leaf_count : t -> int
 
-val root_with : t -> (int * string) list -> root
-(** [root_with t changes] is the root of the tree over [t]'s leaves with
-    leaf [i] replaced by [leaf] for each [(i, leaf)] in [changes], i.e.
-    [root (build replaced)], without building it: only the replaced
-    leaves and their ancestors are hashed, so [root_with t []] hashes
-    nothing.  [t] is not modified.
+val patch : t -> (int * string) list -> t
+(** [patch t changes] is the tree over [t]'s leaves with leaf [i]
+    replaced by [leaf] for each [(i, leaf)] in [changes]: it has the
+    root and the proofs of [build replaced], without building it.  Only
+    the replaced leaves and their ancestors are hashed, each shared
+    ancestor once, and [patch t []] is [t] itself, hashing nothing.
+    Otherwise the result is a copy: [t] is not modified.
     @raise Invalid_argument unless the indices are strictly increasing
     and within [0, leaf_count t). *)
 

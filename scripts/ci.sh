@@ -44,6 +44,17 @@ echo "$simbench_out" | grep -q '"correct":true' \
 echo "$simbench_out" | grep -q '"digest":"2f9df9b8c0c879e1:18243:19"' \
   || { echo "simbench round: classic seed 7 delivery digest changed"; exit 1; }
 
+stage "simbench clients round: correctness and delivery digest"
+# One cold round of the client workload (open-loop distilling clients,
+# a backup crash and cold restart).  Classic has no clients, so this is
+# the round whose clients check the delivery certificates' inclusion
+# proofs against the identity root.
+simbench_out=$(dune exec simbench/simbench.exe -- round --workload clients --seed 7)
+echo "$simbench_out" | grep -q '"correct":true' \
+  || { echo "simbench round: correctness checks failed"; exit 1; }
+echo "$simbench_out" | grep -q '"digest":"36fd7c81a2edb082:6820:71"' \
+  || { echo "simbench round: clients seed 7 delivery digest changed"; exit 1; }
+
 stage "chaos fault-injection smoke"
 dune exec bin/main.exe -- chaos --scenario kitchen-sink --scale quick
 

@@ -144,6 +144,66 @@ let test_legitimizes () =
     (Certs.legitimizes (Some dc) 10);
   checkb "counter < seq does not" false (Certs.legitimizes (Some dc) 11)
 
+(* --- Hashed encodings ------------------------------------------------------ *)
+
+(* The signed and hashed encodings are built without [Printf]; these
+   reference copies are the [Printf] formats they replaced, so every byte
+   that is signed, hashed or committed to stays the same. *)
+let ref_leaf ~id ~seq msg = Printf.sprintf "%d|%d|%s" id seq msg
+let ref_message_statement ~id ~seq msg = Printf.sprintf "message|%d|%d|%s" id seq msg
+
+let ref_witness_statement ~root ~broker ~number =
+  Printf.sprintf "witness|%s|%d|%d" (Repro_crypto.Sha256.to_hex root) broker number
+
+let ref_completion_statement ~root ~counter ~exc_hash =
+  Printf.sprintf "completion|%s|%d|%s" (Repro_crypto.Sha256.to_hex root) counter
+    (Repro_crypto.Sha256.to_hex exc_hash)
+
+let ref_exceptions_hash exceptions =
+  Repro_crypto.Sha256.digest_list
+    (List.map (fun (id, seq) -> Printf.sprintf "%d:%d;" id seq) exceptions)
+
+(* Ints at the edges (0, negative, [max_int], [min_int]) or anywhere, and
+   messages that are empty, made of separator, format and non-ASCII
+   bytes, or arbitrary. *)
+let arb_encoding_inputs =
+  let open QCheck.Gen in
+  let int_ = oneof [ oneofl [ 0; -1; max_int; min_int ]; int; map (fun i -> -i) nat ] in
+  let msg =
+    oneof
+      [ return "";
+        string_size ~gen:(oneofl [ '|'; '%'; ':'; ';'; 'a'; '\x00'; '\xc3'; '\xff' ])
+          (int_bound 12);
+        string_size ~gen:char (int_bound 40) ]
+  in
+  let gen =
+    let* ints = list_repeat 3 int_ in
+    let* m = msg in
+    let* root = string_size ~gen:char (return 32) in
+    let* exceptions = list_size (int_bound 4) (pair int_ int_) in
+    return (ints, m, root, exceptions)
+  in
+  let print (ints, m, _, exceptions) =
+    Printf.sprintf "ints=[%s] msg=%S exceptions=%d"
+      (String.concat ";" (List.map string_of_int ints)) m (List.length exceptions)
+  in
+  QCheck.make ~print gen
+
+let suite_encodings =
+  [ qtest ~count:500 "hashed encodings equal their Printf references byte for byte"
+      arb_encoding_inputs
+      (fun (ints, m, root, exceptions) ->
+        match ints with
+        | [ a; b; c ] ->
+          Batch.leaf ~id:a ~seq:b m = ref_leaf ~id:a ~seq:b m
+          && Types.message_statement ~id:a ~seq:b m = ref_message_statement ~id:a ~seq:b m
+          && Certs.witness_statement ~root ~broker:a ~number:b
+             = ref_witness_statement ~root ~broker:a ~number:b
+          && Certs.completion_statement ~root ~counter:c ~exc_hash:m
+             = ref_completion_statement ~root ~counter:c ~exc_hash:m
+          && Certs.exceptions_hash exceptions = ref_exceptions_hash exceptions
+        | _ -> false) ]
+
 (* --- Batch -------------------------------------------------------------------- *)
 
 let mk_entries ids =
@@ -819,16 +879,20 @@ let suite_batch_oracles =
 
 (* --- Proposals ----------------------------------------------------------- *)
 
+(* A proposal, the batch distilled from it and that batch's identity tree. *)
 let distilled_of_contents entries stragglers agg_seq =
   let p = Batch.propose ~entries ~agg_seq in
-  (p, Batch.distill p ~broker:0 ~number:0 ~stragglers:(stragglers_of_contents stragglers)
-        ~agg_sig:None)
+  let d, tree =
+    Batch.distill p ~broker:0 ~number:0 ~stragglers:(stragglers_of_contents stragglers)
+      ~agg_sig:None
+  in
+  (p, d, tree)
 
 let suite_proposal_oracles =
   [ qtest ~count:200 "distill of a proposal stores make_explicit's and the reference roots"
       arb_explicit_contents
       (fun (entries, stragglers, _, agg_seq) ->
-        let _, d = distilled_of_contents entries stragglers agg_seq in
+        let _, d, _ = distilled_of_contents entries stragglers agg_seq in
         let m = batch_of_contents entries stragglers agg_seq in
         let roots b = (Batch.identity_root b, Batch.reduction_root b) in
         roots d = roots m && roots d = reference_roots d
@@ -836,7 +900,7 @@ let suite_proposal_oracles =
     qtest ~count:100 "every proof from the proposal tree verifies against the reduction root"
       arb_explicit_contents
       (fun (entries, stragglers, _, agg_seq) ->
-        let p, d = distilled_of_contents entries stragglers agg_seq in
+        let p, d, _ = distilled_of_contents entries stragglers agg_seq in
         Array.for_all Fun.id
           (Array.mapi
              (fun i e ->
@@ -847,7 +911,7 @@ let suite_proposal_oracles =
     qtest ~count:100 "rebuild of a distilled batch recomputes both roots"
       arb_explicit_contents
       (fun (entries, stragglers, _, agg_seq) ->
-        let _, d = distilled_of_contents entries stragglers agg_seq in
+        let _, d, _ = distilled_of_contents entries stragglers agg_seq in
         let es = Array.copy entries in
         es.(0) <- { (es.(0)) with Batch.e_msg = es.(0).Batch.e_msg ^ "!" };
         let rebuilt =
@@ -863,8 +927,17 @@ let suite_proposal_oracles =
              (List.filteri (fun i _ -> i < 2) rebuilt));
     qtest ~count:200 "identity root is the root of identity_tree" arb_explicit_contents
       (fun (entries, stragglers, _, agg_seq) ->
-        let _, d = distilled_of_contents entries stragglers agg_seq in
-        Batch.identity_root d = Repro_crypto.Merkle.root (Batch.identity_tree d)) ]
+        let _, d, _ = distilled_of_contents entries stragglers agg_seq in
+        Batch.identity_root d = Repro_crypto.Merkle.root (Batch.identity_tree d));
+    qtest ~count:200 "the tree distill returns is identity_tree, proof for proof"
+      arb_explicit_contents
+      (fun (entries, stragglers, _, agg_seq) ->
+        let _, d, tree = distilled_of_contents entries stragglers agg_seq in
+        let rebuilt = Batch.identity_tree d in
+        Repro_crypto.Merkle.root tree = Batch.identity_root d
+        && Array.for_all Fun.id
+             (Array.init (Array.length entries) (fun i ->
+                  Repro_crypto.Merkle.prove tree i = Repro_crypto.Merkle.prove rebuilt i))) ]
 
 (* SHA-256 work of the batch constructors, in compression blocks, on a
    1,024-entry all-straggler batch.  Each leaf hashes in one block (under
@@ -892,7 +965,7 @@ let test_constructor_block_counts () =
   in
   let p, propose_blocks = blocks (fun () -> Batch.propose ~entries ~agg_seq) in
   checki "propose: one tree" 3070 propose_blocks;
-  let b, distill_blocks =
+  let (b, _), distill_blocks =
     blocks (fun () -> Batch.distill p ~broker:0 ~number:0 ~stragglers ~agg_sig:None)
   in
   checki "distill: identity tree only" 3070 distill_blocks;
@@ -1017,6 +1090,61 @@ let test_verdicts_dense_sample () =
     (Batch.verify dir
        (Batch.rebuild b ~entries:(Batch.Dense { d with Batch.straggler_sample = garbled })))
 
+(* --- Work ledger of one classic batch -------------------------------------- *)
+
+(* One honest all-straggler batch of [n] pre-signed raw submissions,
+   driven through a 4-server deployment from the broker's intake to its
+   delivery certificates, with the SHA-256 blocks and Schnorr
+   verifications it ran.  Set-up (the deployment, the dense key pairs and
+   the signatures) is outside the count. *)
+let classic_ledger n =
+  let d =
+    Deployment.create
+      { Deployment.default_config with
+        n_servers = 4; n_brokers = 0; underlay = Deployment.Sequencer;
+        dense_clients = n }
+  in
+  let b =
+    Deployment.add_broker d ~region:(List.hd Repro_sim.Region.broker_regions)
+      ~flush_period:0.1 ~reduce_timeout:0.05 ~max_batch:n ()
+  in
+  let broker = Deployment.broker d b in
+  let subs =
+    List.init n (fun id ->
+        let msg = Printf.sprintf "ledger%d" id in
+        Proto.Submission
+          { id; seq = 0; msg;
+            tsig =
+              Schnorr.sign (Directory.dense_keypair id).sig_sk
+                (Types.message_statement ~id ~seq:0 msg);
+            evidence = None; ctx = Trace.Ctx.make ~root:id })
+  in
+  let (), verifies, blocks =
+    counting (fun () ->
+        List.iter (Broker.receive_client broker) subs;
+        Deployment.run d ~until:5.0)
+  in
+  checki "one batch completed" 1 (Broker.batches_completed broker);
+  checki "every message delivered" n (Deployment.total_delivered_messages d);
+  (verifies, blocks)
+
+(* The pins, for 64 messages: the broker checks each signature once and
+   the first witness once more (the others reuse its verdicts).  The run
+   hashes 490 blocks: the proposal tree (64 leaves at one block, 63 inner
+   nodes at two: 190), the 128 signature challenges (two blocks each:
+   256), and 44 for the witness and completion certificates' statements
+   (a count that does not depend on [n]).  The identity tree is the
+   proposal tree and [finish] proves from it, so rebuilding it there adds
+   190; a batch check that hashes a transcript adds more, and one that
+   does not run [Schnorr.verify] per signature moves the verifies. *)
+let ledger_blocks = 490
+
+let test_classic_ledger () =
+  let n = 64 in
+  let verifies, blocks = classic_ledger n in
+  checki "Schnorr verifications: broker + first witness" (2 * n) verifies;
+  checki "SHA-256 blocks" ledger_blocks blocks
+
 let suite_batch_props =
   [ qtest ~count:40 "random straggler subsets verify; any corruption fails"
       QCheck.(pair (list_of_size (Gen.int_range 1 12) (int_bound 60)) (int_bound 2))
@@ -1065,7 +1193,8 @@ let () =
        [ Alcotest.test_case "quorum" `Quick test_certs_quorum;
          Alcotest.test_case "signer dedup" `Quick test_certs_dedup_signers;
          Alcotest.test_case "forged signer list" `Quick test_certs_forged_signer_list;
-         Alcotest.test_case "legitimizes" `Quick test_legitimizes ]);
+         Alcotest.test_case "legitimizes" `Quick test_legitimizes ]
+       @ suite_encodings);
       ("batch",
        [ Alcotest.test_case "explicit verifies" `Quick test_batch_explicit_verifies;
          Alcotest.test_case "with stragglers" `Quick test_batch_with_stragglers;
@@ -1100,4 +1229,5 @@ let () =
          Alcotest.test_case "liveness under f crashes" `Quick test_crash_f_servers_liveness;
          Alcotest.test_case "no send before cpu completion" `Quick
            test_no_send_before_cpu_completion;
-         Alcotest.test_case "stob item bytes" `Quick test_stob_item_bytes ]) ]
+         Alcotest.test_case "stob item bytes" `Quick test_stob_item_bytes;
+         Alcotest.test_case "work ledger of one classic batch" `Quick test_classic_ledger ]) ]

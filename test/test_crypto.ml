@@ -498,31 +498,36 @@ let test_merkle_proof_size () =
   Alcotest.(check int) "depth 16 for 65,536 leaves" 16 (Merkle.proof_length proof);
   Alcotest.(check int) "wire size" ((16 * 32) + 8) (Merkle.proof_size_bytes proof)
 
-(* [root_with] hashes only the replaced leaves and their ancestors, and a
+(* [patch] hashes only the replaced leaves and their ancestors, and a
    promoted node costs nothing.  Over 5 leaves (levels of 5, 3, 2 and 1
    nodes) leaf 4 is promoted twice, so replacing it costs its leaf hash
    (1 block) and the root's (65 bytes, 2 blocks). *)
-let test_merkle_root_with () =
+let test_merkle_patch () =
   let leaves = Array.init 5 (Printf.sprintf "L%d") in
   let t = Merkle.build leaves in
+  let root0 = Merkle.root t in
   let blocks f =
     let before = Sha256.blocks () in
     let r = f () in
     (r, Sha256.blocks () - before)
   in
-  let r, b = blocks (fun () -> Merkle.root_with t []) in
-  checkb "no change: the stored root" true (Merkle.root_equal r (Merkle.root t));
+  let p, b = blocks (fun () -> Merkle.patch t []) in
+  checkb "no change: the tree itself" true (p == t);
   Alcotest.(check int) "no change: no hashing" 0 b;
-  let r, b = blocks (fun () -> Merkle.root_with t [ (4, "x") ]) in
+  let p, b = blocks (fun () -> Merkle.patch t [ (4, "x") ]) in
   let replaced = Array.copy leaves in
   replaced.(4) <- "x";
-  checkb "promoted leaf" true (Merkle.root_equal r (Merkle.root (Merkle.build replaced)));
+  checkb "promoted leaf" true
+    (Merkle.root_equal (Merkle.root p) (Merkle.root (Merkle.build replaced)));
   Alcotest.(check int) "promoted leaf: leaf and root hashes" 3 b;
+  checkb "the source tree is untouched" true (Merkle.root_equal (Merkle.root t) root0);
+  checkb "its proofs too" true
+    (Merkle.verify root0 ~leaf:"L4" (Merkle.prove t 4));
   List.iter
     (fun changes ->
       Alcotest.check_raises "bad indices"
-        (Invalid_argument "Merkle.root_with: indices out of range or not increasing")
-        (fun () -> ignore (Merkle.root_with t changes)))
+        (Invalid_argument "Merkle.patch: indices out of range or not increasing")
+        (fun () -> ignore (Merkle.patch t changes)))
     [ [ (5, "x") ]; [ (-1, "x") ]; [ (2, "x"); (1, "y") ]; [ (3, "x"); (3, "y") ] ]
 
 (* A leaf vector of 1-300 leaves and a set of replacements: none, every
@@ -552,14 +557,18 @@ let arb_replacements =
   QCheck.make ~print gen
 
 let suite_merkle_props =
-  [ qtest ~count:300 "root_with equals the root of the rebuilt tree" arb_replacements
+  [ qtest ~count:300 "patch equals the rebuilt tree: its root and every proof"
+      arb_replacements
       (fun (n, changes) ->
         let leaves = Array.init n (Printf.sprintf "leaf%d") in
         let replaced = Array.copy leaves in
         List.iter (fun (i, l) -> replaced.(i) <- l) changes;
-        Merkle.root_equal
-          (Merkle.root_with (Merkle.build leaves) changes)
-          (Merkle.root (Merkle.build replaced)));
+        let patched = Merkle.patch (Merkle.build leaves) changes in
+        let rebuilt = Merkle.build replaced in
+        Merkle.root_equal (Merkle.root patched) (Merkle.root rebuilt)
+        && List.for_all
+             (fun i -> Merkle.prove patched i = Merkle.prove rebuilt i)
+             (List.init n Fun.id));
     qtest ~count:100 "random trees: every proof verifies, flipped leaf changes root"
       QCheck.(list_of_size (Gen.int_range 2 40) small_string)
       (fun leaves ->
@@ -611,5 +620,5 @@ let () =
        :: Alcotest.test_case "out of range" `Quick test_merkle_out_of_range
        :: Alcotest.test_case "domain separation" `Quick test_merkle_distinct_roots
        :: Alcotest.test_case "proof size" `Quick test_merkle_proof_size
-       :: Alcotest.test_case "root_with" `Quick test_merkle_root_with
+       :: Alcotest.test_case "patch" `Quick test_merkle_patch
        :: suite_merkle_props) ]

@@ -127,6 +127,35 @@ let test_shard_merge_monolithic () =
   checkb "dense id resolves through the shard" true
     (Directory.shard_find sh 3 = Directory.find mono 3)
 
+(* Random explicit signups (cards from seeds) over a random dense
+   population, dealt to 1-5 shards by a seeded random partition: the
+   merge is the monolithic directory, card for card, for every id in and
+   just past the issued range. *)
+let qcheck_shard_merge =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"random seeded partitions merge to the monolithic directory"
+       QCheck.(quad (int_bound 8) (int_bound 24) (int_range 1 5) int)
+       (fun (dense, signups, n_shards, seed) ->
+         let mono = Directory.create ~dense_count:dense () in
+         let shards =
+           Array.init n_shards (fun _ -> Directory.create_shard ~dense_count:dense ())
+         in
+         let rng = Rng.create (Int64.of_int seed) in
+         for i = 0 to signups - 1 do
+           let card =
+             (Types.keypair_of_seed (Printf.sprintf "shard-prop-%d-%d" seed i)).Types.card
+           in
+           let id = Directory.append mono card in
+           Directory.shard_insert shards.(Rng.int rng n_shards) ~id card
+         done;
+         let merged = Directory.merge_shards ~dense_count:dense (Array.to_list shards) in
+         Directory.size merged = Directory.size mono
+         && Directory.explicit_cards merged = Directory.explicit_cards mono
+         && List.for_all
+              (fun id -> Directory.find merged id = Directory.find mono id)
+              (List.init (dense + signups + 2) Fun.id)))
+
 let test_shard_dense_guard () =
   let sh = Directory.create_shard ~dense_count:8 () in
   let card = (Types.keypair_of_seed "dense-guard").Types.card in
@@ -286,7 +315,8 @@ let () =
        [ Alcotest.test_case "shard merge equals the monolithic directory"
            `Quick test_shard_merge_monolithic;
          Alcotest.test_case "dense ids are guarded; explicit ids round-trip"
-           `Quick test_shard_dense_guard ]);
+           `Quick test_shard_dense_guard;
+         qcheck_shard_merge ]);
       ("deployment",
        [ Alcotest.test_case "1-broker fleet is a bit-identical no-op" `Quick
            test_single_broker_noop;
